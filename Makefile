@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race test-full bench bench-json bench-check lint fmt doc-check riotvet smoke
+.PHONY: build test test-race test-full test-e2ebench bench bench-json bench-check lint fmt doc-check riotvet smoke
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,15 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 
-# Full suite, including the ~80s linear-regression plan-space search.
+# Full suite, including the full linear-regression plan-space search.
 test-full:
 	$(GO) test ./...
+
+# e2ebench/ is a nested module, so `go test ./...` from the root never
+# reaches it. Its tests pin the benchmark's cold specs to the built-in
+# programs' plan statistics.
+test-e2ebench:
+	cd e2ebench && $(GO) vet . && $(GO) test -short .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -33,7 +39,9 @@ bench:
 # (instrumented vs no-op registry on the pipelined exec path — the two
 # must stay within a few percent of each other) into BENCH_telemetry.json,
 # the three-tier planner benchmark (full Apriori search vs budgeted
-# greedy vs warm cache-served query) into BENCH_planner.json, and the
+# greedy vs warm cache-served query) plus the polyhedral-kernel layer
+# benchmarks (Simplify, EliminateVar, FindSchedule), all with allocs/op,
+# into BENCH_planner.json, and the
 # streamed-results delivery benchmark (a result 4x the pool's capacity
 # streamed with flat pool residency — the benchmark itself fails if the
 # pool's high-water mark exceeds capacity) into BENCH_stream.json.
@@ -53,14 +61,18 @@ bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_remote.json < .bench-remote.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 5x . > .bench-telemetry.txt
 	$(GO) run ./cmd/benchjson -out BENCH_telemetry.json < .bench-telemetry.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPlannerTiers' -benchtime 3x . > .bench-planner.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkPlannerTiers' -benchtime 3x -benchmem . > .bench-planner.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSimplify|BenchmarkEliminateVar' -benchmem ./internal/polyhedra >> .bench-planner.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFindSchedule' -benchmem ./internal/sched >> .bench-planner.txt
 	$(GO) run ./cmd/benchjson -out BENCH_planner.json < .bench-planner.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamedResults' -benchtime 20x . > .bench-stream.txt
 	$(GO) run ./cmd/benchjson -out BENCH_stream.json < .bench-stream.txt
 	@rm -f .bench-exec.txt .bench-pool.txt .bench-cache.txt .bench-shard.txt .bench-replica.txt .bench-remote.txt .bench-telemetry.txt .bench-planner.txt .bench-stream.txt
 
 # Bench-regression gate: stash the committed baselines, rerun the
-# benchmarks, and fail on a >25% ns/op regression against any baseline.
+# benchmarks, and fail on a >25% ns/op regression against any baseline,
+# or on an allocs/op rise beyond benchjson's fixed 2% wherever both sides
+# report allocs/op.
 # CI runs exactly this; refresh the committed BENCH_*.json to move a
 # baseline deliberately.
 bench-check:

@@ -10,9 +10,14 @@
 // every run.
 //
 // With -compare it instead diffs two such JSON files and fails (exit 1) on
-// a ns/op regression beyond the tolerance — the CI bench-regression gate:
+// a ns/op regression beyond the tolerance, or on an allocs/op rise beyond
+// the fixed allocsTolerance in any benchmark both files report allocs/op
+// for — the CI bench-regression gate:
 //
 //	benchjson -compare old.json new.json -tolerance 0.25
+//
+// Benchmark names are recorded without the trailing -N GOMAXPROCS suffix,
+// so baselines compare across machines with different CPU counts.
 package main
 
 import (
@@ -20,11 +25,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// allocsTolerance is the allowed fractional allocs/op increase in -compare
+// mode. Allocation counts are deterministic for a given input, unlike wall
+// time, so the gate on them is tight and not configurable.
+const allocsTolerance = 0.02
 
 // Record is one benchmark result.
 type Record struct {
@@ -42,26 +53,32 @@ type Record struct {
 }
 
 // policyOf extracts the value of a "policy=<name>" path segment from a
-// benchmark name like BenchmarkCachePolicyScanMix/policy=lru-8 (the
-// trailing -N is the GOMAXPROCS suffix).
+// benchmark name (GOMAXPROCS suffix already trimmed) like
+// BenchmarkCachePolicyScanMix/policy=lru.
 func policyOf(name string) string {
 	for _, seg := range strings.Split(name, "/") {
 		if val, ok := strings.CutPrefix(seg, "policy="); ok {
-			if i := strings.LastIndex(val, "-"); i > 0 {
-				if _, err := strconv.Atoi(val[i+1:]); err == nil {
-					val = val[:i]
-				}
-			}
 			return val
 		}
 	}
 	return ""
 }
 
+// trimProcs drops the -N GOMAXPROCS suffix `go test` appends to a
+// benchmark name when N > 1.
+func trimProcs(name string) string {
+	if i := strings.LastIndex(name, "-"); i > strings.LastIndex(name, "/") {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
 func main() {
 	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
 	out := fs.String("out", "BENCH_pool.json", "output JSON file (- for stdout)")
-	compare := fs.Bool("compare", false, "compare mode: benchjson -compare old.json new.json [-tolerance 0.25]; exits 1 on ns/op regressions beyond the tolerance")
+	compare := fs.Bool("compare", false, "compare mode: benchjson -compare old.json new.json [-tolerance 0.25]; exits 1 on ns/op regressions beyond the tolerance or allocs/op rises beyond 2%")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op increase in -compare mode (0.25 = +25%)")
 	// Accept flags interleaved with the positional file arguments
 	// (-compare old.json new.json -tolerance 0.25), which stdlib flag
@@ -89,7 +106,7 @@ func main() {
 			os.Exit(2)
 		}
 		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% ns/op\n", regressions, *tolerance*100)
+			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s): ns/op beyond %.0f%% or allocs/op beyond %.0f%%\n", regressions, *tolerance*100, allocsTolerance*100)
 			os.Exit(1)
 		}
 		return
@@ -138,10 +155,11 @@ func loadRecords(path string) (map[string]Record, error) {
 }
 
 // compareFiles diffs two benchjson files by benchmark name and reports the
-// number of ns/op regressions beyond the tolerance. Benchmarks present in
-// only one file are listed but never fail the gate (new benchmarks land,
-// old ones retire); improvements are reported for the trajectory log.
-func compareFiles(oldPath, newPath string, tolerance float64, w *os.File) (regressions int, err error) {
+// number of regressions: ns/op beyond the tolerance, and allocs/op beyond
+// allocsTolerance where both files report it. Benchmarks present in only
+// one file are listed but never fail the gate (new benchmarks land, old
+// ones retire); improvements are reported for the trajectory log.
+func compareFiles(oldPath, newPath string, tolerance float64, w io.Writer) (regressions int, err error) {
 	oldRecs, err := loadRecords(oldPath)
 	if err != nil {
 		return 0, err
@@ -173,6 +191,16 @@ func compareFiles(oldPath, newPath string, tolerance float64, w *os.File) (regre
 			regressions++
 		}
 		fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%%%s\n", name, o.NsPerOp, n.NsPerOp, delta*100, verdict)
+		oa, okOld := o.Metrics["allocs/op"]
+		na, okNew := n.Metrics["allocs/op"]
+		if okOld && okNew {
+			verdict = ""
+			if na > oa*(1+allocsTolerance) {
+				verdict = "  REGRESSION"
+				regressions++
+			}
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%%%s\n", "  allocs/op", oa, na, (na-oa)/oa*100, verdict)
+		}
 	}
 	// Benchmarks only the new file has (a benchmark that just landed, run
 	// against a baseline predating it): note them, in stable order, and
@@ -205,7 +233,8 @@ func parse(sc *bufio.Scanner) ([]Record, error) {
 		if err != nil {
 			continue // e.g. a "Benchmark..." log line, not a result row
 		}
-		rec := Record{Op: fields[0], Iterations: iters, Policy: policyOf(fields[0]), Metrics: map[string]float64{}}
+		op := trimProcs(fields[0])
+		rec := Record{Op: op, Iterations: iters, Policy: policyOf(op), Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

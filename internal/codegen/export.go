@@ -46,6 +46,7 @@ func actionName(a AccessAction) string {
 
 // Export converts the timeline to its JSON-serializable form.
 func (tl *Timeline) Export() *ExportedPlan {
+	tl = tl.withTimes()
 	out := &ExportedPlan{
 		Program: tl.Prog.Name,
 		Params:  tl.Params,

@@ -12,6 +12,7 @@ import (
 // bodies are shown via their notes; exact subscripts are carried by the
 // timeline itself.
 func (tl *Timeline) Pseudocode() string {
+	tl = tl.withTimes()
 	idx := make([]int, len(tl.Events))
 	for i := range idx {
 		idx[i] = i

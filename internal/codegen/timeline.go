@@ -56,7 +56,10 @@ type Hold struct {
 type Timeline struct {
 	Prog   *prog.Program
 	Params []int64
-	Events []Event
+	// Schedule is the plan's schedule, from which event times dropped by
+	// DropTimes are recomputed.
+	Schedule *prog.Schedule
+	Events   []Event
 	// Actions[eventIdx][accessIdx] parallels Events[i].St.Accesses.
 	Actions [][]AccessAction
 	Holds   []Hold
@@ -69,15 +72,31 @@ type Timeline struct {
 func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 	p := an.Prog
 	params := p.ParamValues()
-	tl := &Timeline{Prog: p, Params: params}
+	tl := &Timeline{Prog: p, Params: params, Schedule: plan.Schedule}
 
-	for _, st := range p.Stmts {
-		insts, err := p.Instances(st, 10_000_000)
-		if err != nil {
+	// A timeline lives as long as its plan stays cached, so it is stored
+	// compactly: the event list is sized exactly, and the events' instance
+	// vectors and time vectors are carved from one backing array each
+	// (separate, so DropTimes can release the times).
+	insts := make([][][]int64, len(p.Stmts))
+	var events, xWidth, tWidth int
+	for si, st := range p.Stmts {
+		var err error
+		if insts[si], err = p.Instances(st, 10_000_000); err != nil {
 			return nil, fmt.Errorf("codegen: enumerating %s: %w", st.Name, err)
 		}
-		for _, x := range insts {
-			tl.Events = append(tl.Events, Event{St: st, X: x, Time: plan.Schedule.TimeOf(st, x, params)})
+		events += len(insts[si])
+		xWidth += len(insts[si]) * st.Ds()
+		tWidth += len(insts[si]) * plan.Schedule.NRows
+	}
+	tl.Events = make([]Event, 0, events)
+	xs, times := make([]int64, 0, xWidth), make([]int64, 0, tWidth)
+	for si, st := range p.Stmts {
+		for _, x := range insts[si] {
+			xAt, tAt := len(xs), len(times)
+			xs = append(xs, x...)
+			times = plan.Schedule.AppendTimeOf(times, st, x, params)
+			tl.Events = append(tl.Events, Event{St: st, X: xs[xAt:len(xs):len(xs)], Time: times[tAt:len(times):len(times)]})
 		}
 	}
 	sort.SliceStable(tl.Events, func(i, j int) bool {
@@ -92,9 +111,15 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 	}
 	// Default actions.
 	tl.Actions = make([][]AccessAction, len(tl.Events))
+	var nActions int
+	for _, ev := range tl.Events {
+		nActions += len(ev.St.Accesses)
+	}
+	actions := make([]AccessAction, nActions)
 	index := make(map[string]int, len(tl.Events))
 	for i, ev := range tl.Events {
-		tl.Actions[i] = make([]AccessAction, len(ev.St.Accesses))
+		n := len(ev.St.Accesses)
+		tl.Actions[i], actions = actions[:n:n], actions[n:]
 		for ai := range ev.St.Accesses {
 			if !ev.St.Accesses[ai].Guarded(ev.X, params) {
 				tl.Actions[i][ai] = Inactive
@@ -158,7 +183,33 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 		tl.Actions[ww.si][ww.c.SrcAcc] = Elided
 	}
 	tl.elideDeadTransientWrites()
+	tl.Holds = append([]Hold(nil), tl.Holds...) // drop append's spare capacity
 	return tl, nil
+}
+
+// DropTimes releases every event's time vector. Execution and costing
+// never read event times — they only order the events during lowering —
+// so a timeline kept just to execute (a plan-cache entry) can shed them.
+// String, Pseudocode and Export recompute them from Schedule.
+func (tl *Timeline) DropTimes() {
+	for i := range tl.Events {
+		tl.Events[i].Time = nil
+	}
+}
+
+// withTimes returns tl, or, if DropTimes released its event times, a copy
+// whose events carry times recomputed from the schedule.
+func (tl *Timeline) withTimes() *Timeline {
+	if len(tl.Events) == 0 || tl.Events[0].Time != nil {
+		return tl
+	}
+	cp := *tl
+	cp.Events = make([]Event, len(tl.Events))
+	for i, ev := range tl.Events {
+		ev.Time = tl.Schedule.TimeOf(ev.St, ev.X, tl.Params)
+		cp.Events[i] = ev
+	}
+	return &cp
 }
 
 // diskReadBetween reports whether any read of the block in events
@@ -258,6 +309,7 @@ func BlockKey(array string, r, c int64) string { return blockKey(array, r, c) }
 
 // String summarizes the timeline (first events and action statistics).
 func (tl *Timeline) String() string {
+	tl = tl.withTimes()
 	var sb strings.Builder
 	counts := map[AccessAction]int{}
 	for _, acts := range tl.Actions {

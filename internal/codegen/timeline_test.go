@@ -218,3 +218,28 @@ func TestExportJSON(t *testing.T) {
 		t.Fatalf("expected io and memory actions, got %v", seen)
 	}
 }
+
+// A timeline that dropped its event times renders and exports exactly as
+// before: the times are recomputed from the schedule.
+func TestDropTimesRecomputes(t *testing.T) {
+	an, s := addMulSetup(t, 3, 4, 2)
+	tl := lower(t, an, s, "s1WC→s2RC", "s2WE→s2RE", "s2WE→s2WE")
+	pseudo, str := tl.Pseudocode(), tl.String()
+	var before bytes.Buffer
+	if err := tl.WriteJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	tl.DropTimes()
+	for i, ev := range tl.Events {
+		if ev.Time != nil {
+			t.Fatalf("event %d kept its time after DropTimes", i)
+		}
+	}
+	var after bytes.Buffer
+	if err := tl.WriteJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if tl.Pseudocode() != pseudo || tl.String() != str || after.String() != before.String() {
+		t.Fatal("rendering changed after DropTimes")
+	}
+}

@@ -26,11 +26,29 @@ func (p *Poly) EliminateVar(i int) (*Poly, bool) {
 	}
 	q := &Poly{Dim: p.Dim - 1, Rational: p.Rational}
 	if len(p.Names) == p.Dim {
-		q.Names = append(append([]string(nil), p.Names[:i]...), p.Names[i+1:]...)
+		q.Names = append(p.Names[:i:i], p.Names[i+1:]...)
 	}
+	// Size the result up front: every constraint is written once, straight
+	// into its slot of one coefficient arena, without column i.
+	n := len(p.Cons) - 1
+	var lowers, uppers int
+	if bestEq < 0 {
+		for _, c := range p.Cons {
+			switch {
+			case c.Coef[i] > 0:
+				lowers++ // c_i * x_i >= -(rest)
+			case c.Coef[i] < 0:
+				uppers++
+			}
+		}
+		n = len(p.Cons) - lowers - uppers + lowers*uppers
+	}
+	arena := newCoefArena(n, q.Dim)
+	q.Cons = make([]Constraint, 0, n)
 	if bestEq >= 0 {
 		e := p.Cons[bestEq]
-		if abs64(e.Coef[i]) != 1 {
+		ei := e.Coef[i]
+		if abs64(ei) != 1 {
 			exact = false
 		}
 		for j, c := range p.Cons {
@@ -38,64 +56,65 @@ func (p *Poly) EliminateVar(i int) (*Poly, bool) {
 				continue
 			}
 			if c.Coef[i] == 0 {
-				q.Cons = append(q.Cons, dropCol(c, i))
+				q.Cons = append(q.Cons, dropInto(arena.take(q.Dim), i, c))
 				continue
 			}
 			// Cancel variable i: h = e_i*c - c_i*e. On points of the
 			// polyhedron e == 0, so h = e_i*c; flip if e_i < 0 to preserve the
 			// inequality direction.
-			h := combine(e.Coef[i], c, -c.Coef[i], e)
-			if e.Coef[i] < 0 && !c.Eq {
-				h = Constraint{Coef: linalg.ScaleVec(-1, h.Coef), K: -h.K, Eq: h.Eq}
+			a, b := ei, -c.Coef[i]
+			if ei < 0 && !c.Eq {
+				a, b = -a, -b
 			}
-			q.Cons = append(q.Cons, dropCol(h, i))
+			q.Cons = append(q.Cons, combineInto(arena.take(q.Dim), i, a, c, b, e))
 		}
-		q.Simplify()
-		return q, exact
-	}
-	// Pure inequality elimination.
-	var lowers, uppers, free []Constraint
-	for _, c := range p.Cons {
-		switch {
-		case c.Coef[i] > 0:
-			lowers = append(lowers, c) // c_i * x_i >= -(rest)
-		case c.Coef[i] < 0:
-			uppers = append(uppers, c)
-		default:
-			free = append(free, c)
-		}
-	}
-	for _, c := range free {
-		q.Cons = append(q.Cons, dropCol(c, i))
-	}
-	for _, lo := range lowers {
-		for _, up := range uppers {
-			if lo.Coef[i] != 1 && -up.Coef[i] != 1 {
-				exact = false
+	} else {
+		// Pure inequality elimination: the constraints without x_i, then
+		// every (lower, upper) pair in order.
+		for _, c := range p.Cons {
+			if c.Coef[i] == 0 {
+				q.Cons = append(q.Cons, dropInto(arena.take(q.Dim), i, c))
 			}
-			// h = (-up_i)*lo + lo_i*up has zero coefficient on i and is a
-			// nonnegative combination of nonnegative expressions.
-			h := combine(-up.Coef[i], lo, lo.Coef[i], up)
-			q.Cons = append(q.Cons, dropCol(h, i))
+		}
+		for _, lo := range p.Cons {
+			if lo.Coef[i] <= 0 {
+				continue
+			}
+			for _, up := range p.Cons {
+				if up.Coef[i] >= 0 {
+					continue
+				}
+				if lo.Coef[i] != 1 && -up.Coef[i] != 1 {
+					exact = false
+				}
+				// h = (-up_i)*lo + lo_i*up has zero coefficient on i and is a
+				// nonnegative combination of nonnegative expressions.
+				q.Cons = append(q.Cons, combineInto(arena.take(q.Dim), i, -up.Coef[i], lo, lo.Coef[i], up))
+			}
 		}
 	}
-	q.Simplify()
+	q.simplify(true, fullHash)
 	return q, exact
 }
 
-// combine returns a*c1 + b*c2 as a constraint; the result is an equality only
-// if both inputs are equalities.
-func combine(a int64, c1 Constraint, b int64, c2 Constraint) Constraint {
-	coef := make([]int64, len(c1.Coef))
-	for k := range coef {
-		coef[k] = a*c1.Coef[k] + b*c2.Coef[k]
+// combineInto writes a*c1 + b*c2 without column i into dst (length Dim-1)
+// and returns it as a constraint; the result is an equality only if both
+// inputs are equalities.
+func combineInto(dst []int64, i int, a int64, c1 Constraint, b int64, c2 Constraint) Constraint {
+	for k := 0; k < i; k++ {
+		dst[k] = a*c1.Coef[k] + b*c2.Coef[k]
 	}
-	return Constraint{Coef: coef, K: a*c1.K + b*c2.K, Eq: c1.Eq && c2.Eq}
+	for k := i + 1; k < len(c1.Coef); k++ {
+		dst[k-1] = a*c1.Coef[k] + b*c2.Coef[k]
+	}
+	return Constraint{Coef: dst, K: a*c1.K + b*c2.K, Eq: c1.Eq && c2.Eq}
 }
 
-func dropCol(c Constraint, i int) Constraint {
-	coef := append(append([]int64(nil), c.Coef[:i]...), c.Coef[i+1:]...)
-	return Constraint{Coef: coef, K: c.K, Eq: c.Eq}
+// dropInto copies c without column i into dst (length Dim-1).
+func dropInto(dst []int64, i int, c Constraint) Constraint {
+	copy(dst, c.Coef[:i])
+	copy(dst[i:], c.Coef[i+1:])
+	return Constraint{Coef: dst, K: c.K, Eq: c.Eq}
 }
 
 func abs64(x int64) int64 {
@@ -113,7 +132,10 @@ func (p *Poly) ProjectOnto(keep []int) (*Poly, bool) {
 	for _, k := range keep {
 		keepSet[k] = true
 	}
-	q := p.Clone()
+	// EliminateVar never modifies its receiver and returns a fresh
+	// polyhedron, so p itself starts the chain; only a projection that
+	// eliminates nothing needs a copy.
+	q := p
 	exact := true
 	// Eliminate from the highest index down so indices stay stable.
 	for i := p.Dim - 1; i >= 0; i-- {
@@ -132,13 +154,19 @@ func (p *Poly) ProjectOnto(keep []int) (*Poly, bool) {
 			return empty, exact
 		}
 	}
+	if q == p {
+		return p.Clone(), exact
+	}
 	return q, exact
 }
 
 // ProjectOutRange eliminates count consecutive variables starting at column
 // start.
 func (p *Poly) ProjectOutRange(start, count int) (*Poly, bool) {
-	q := p.Clone()
+	if count <= 0 {
+		return p.Clone(), true
+	}
+	q := p
 	exact := true
 	for i := start + count - 1; i >= start; i-- {
 		var e bool
@@ -172,7 +200,7 @@ func (p *Poly) hasPoints() bool {
 // that prefers equality substitutions and minimizes the inequality-pair
 // product, which keeps the optimizer's large coefficient spaces tractable.
 func (p *Poly) IsEmptyRational() bool {
-	q := p.Clone()
+	q := p.shallowCopy()
 	if !q.Simplify() {
 		return true
 	}
@@ -234,13 +262,18 @@ func (p *Poly) IsEmptyInt(radius int64) bool {
 // version is infeasible (e >= 0 with p ∩ {e >= 1} empty implies e == 0 on p).
 func (p *Poly) ImpliedEqualities() []Constraint {
 	var eqs []Constraint
+	// One scratch polyhedron serves every probe: p's constraints plus a
+	// last slot that each inequality's strict version overwrites.
+	// IsEmptyRational works on its own copy, so the scratch stays intact.
+	n := len(p.Cons)
+	strict := &Poly{Dim: p.Dim, Names: p.Names, Rational: p.Rational, Cons: make([]Constraint, n, n+1)}
+	copy(strict.Cons, p.Cons)
 	for _, c := range p.Cons {
 		if c.Eq {
 			eqs = append(eqs, c.Clone())
 			continue
 		}
-		strict := p.Clone()
-		strict.AddIneq(linalg.ScaleVec(1, c.Coef), c.K-1) // e - 1 >= 0
+		strict.Cons = append(strict.Cons[:n], Constraint{Coef: c.Coef, K: c.K - 1}) // e - 1 >= 0
 		if strict.IsEmptyRational() {
 			eqs = append(eqs, Constraint{Coef: linalg.CloneVec(c.Coef), K: c.K, Eq: true})
 		}

@@ -9,12 +9,17 @@
 // A constraint is stored as a coefficient vector over the space's variables
 // plus a constant; an inequality constraint means expr >= 0 and an equality
 // constraint means expr == 0, following the paper's matrix notation in §4.1.
+//
+// Coefficient vectors are never modified once a polyhedron holds them, so
+// operations share them freely instead of copying: projection, emptiness
+// testing and sampling never deep-copy a polyhedron they are about to
+// discard. The vectors of one polyhedron built here are carved out of a
+// single backing array.
 package polyhedra
 
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"riotshare/internal/linalg"
@@ -70,14 +75,52 @@ func NewPoly(dim int, names ...string) *Poly {
 	return &Poly{Dim: dim, Names: append([]string(nil), names...)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. All of the copy's coefficient vectors are
+// carved out of one backing array.
 func (p *Poly) Clone() *Poly {
 	q := &Poly{Dim: p.Dim, Names: p.Names, Rational: p.Rational}
-	q.Cons = make([]Constraint, len(p.Cons))
-	for i, c := range p.Cons {
-		q.Cons[i] = c.Clone()
-	}
+	arena := newCoefArena(len(p.Cons), p.Dim)
+	q.Cons = appendCopies(make([]Constraint, 0, len(p.Cons)), &arena, p.Cons)
 	return q
+}
+
+// coefArena hands out coefficient vectors carved from one backing array, so
+// a polyhedron's constraints cost one allocation instead of one each. Each
+// vector is capped at its length: appending to one never runs into the
+// next.
+type coefArena []int64
+
+func newCoefArena(n, dim int) coefArena {
+	return make(coefArena, n*dim)
+}
+
+// take returns the next dim-long zeroed vector, growing the arena if a
+// caller takes more than it was sized for.
+func (a *coefArena) take(dim int) []int64 {
+	if len(*a) < dim {
+		*a = make(coefArena, dim)
+	}
+	v := (*a)[:dim:dim]
+	*a = (*a)[dim:]
+	return v
+}
+
+// appendCopies appends deep copies of src to dst, drawing their
+// coefficient vectors from the arena.
+func appendCopies(dst []Constraint, a *coefArena, src []Constraint) []Constraint {
+	for _, c := range src {
+		coef := a.take(len(c.Coef))
+		copy(coef, c.Coef)
+		dst = append(dst, Constraint{Coef: coef, K: c.K, Eq: c.Eq})
+	}
+	return dst
+}
+
+// shallowCopy returns a polyhedron with its own constraint list but
+// sharing p's coefficient vectors: enough for in-place Simplify, which
+// rewrites list entries but never a vector it does not own.
+func (p *Poly) shallowCopy() *Poly {
+	return &Poly{Dim: p.Dim, Names: p.Names, Rational: p.Rational, Cons: append([]Constraint(nil), p.Cons...)}
 }
 
 // Add appends a constraint (which must have len(Coef) == Dim).
@@ -128,10 +171,10 @@ func Intersect(a, b *Poly) *Poly {
 	if a.Dim != b.Dim {
 		panic("polyhedra: Intersect dimension mismatch")
 	}
-	out := a.Clone()
-	for _, c := range b.Cons {
-		out.Cons = append(out.Cons, c.Clone())
-	}
+	out := &Poly{Dim: a.Dim, Names: a.Names, Rational: a.Rational}
+	arena := newCoefArena(len(a.Cons)+len(b.Cons), a.Dim)
+	out.Cons = make([]Constraint, 0, len(a.Cons)+len(b.Cons))
+	out.Cons = appendCopies(appendCopies(out.Cons, &arena, a.Cons), &arena, b.Cons)
 	return out
 }
 
@@ -140,65 +183,72 @@ func Intersect(a, b *Poly) *Poly {
 // deduplicates, and detects simple infeasibility. It reports whether the
 // polyhedron is still possibly non-empty (false means definitely empty).
 func (p *Poly) Simplify() bool {
+	return p.simplify(false, fullHash)
+}
+
+// fullHash is the hash mask Simplify runs with: every bit of the constraint
+// hash is used.
+const fullHash = ^uint64(0)
+
+// simplify is Simplify with two internal knobs. owned says no other
+// polyhedron shares p's coefficient vectors, so normalization may rewrite
+// them in place instead of allocating. hashMask is applied to every
+// constraint hash; tests pass 0 to send every lookup down the collision
+// path.
+func (p *Poly) simplify(owned bool, hashMask uint64) bool {
 	out := p.Cons[:0]
-	seen := make(map[string]int) // key -> index into out
+	idx := newConIndex(len(p.Cons), hashMask)
 	for _, c := range p.Cons {
 		if linalg.IsZeroVec(c.Coef) {
-			if c.Eq && c.K != 0 {
-				p.Cons = nil
-				p.Cons = append(p.Cons, falseCon(p.Dim))
-				return false
-			}
-			if !c.Eq && c.K < 0 {
-				p.Cons = nil
-				p.Cons = append(p.Cons, falseCon(p.Dim))
-				return false
+			if (c.Eq && c.K != 0) || (!c.Eq && c.K < 0) {
+				return p.setFalse()
 			}
 			continue // trivially true
 		}
-		g := linalg.GcdVec(c.Coef)
-		if g > 1 && !p.Rational {
-			if c.Eq {
-				if c.K%g != 0 {
-					// GCD test: no integer solutions.
-					p.Cons = nil
-					p.Cons = append(p.Cons, falseCon(p.Dim))
-					return false
+		// Normalize to coef/div (and, for an equality, a positive first
+		// nonzero coefficient): div is the gcd where integer reasoning (or
+		// an exact rational equality) allows dividing by it.
+		div := int64(1)
+		if g := linalg.GcdVec(c.Coef); g > 1 {
+			switch {
+			case c.Eq && c.K%g != 0:
+				if !p.Rational {
+					return p.setFalse() // GCD test: no integer solutions.
 				}
-				c = Constraint{Coef: divVec(c.Coef, g), K: c.K / g, Eq: true}
-			} else {
+			case c.Eq:
+				div, c.K = g, c.K/g
+			case !p.Rational:
 				// coef·x >= -K  =>  (coef/g)·x >= ceil(-K/g), i.e. K' = floor(K/g).
-				c = Constraint{Coef: divVec(c.Coef, g), K: floorDiv(c.K, g)}
-			}
-		} else if g > 1 && p.Rational && c.Eq && c.K%g == 0 {
-			c = Constraint{Coef: divVec(c.Coef, g), K: c.K / g, Eq: true}
-		}
-		if c.Eq {
-			// Canonical sign: first nonzero coefficient positive.
-			for _, x := range c.Coef {
-				if x != 0 {
-					if x < 0 {
-						c = Constraint{Coef: linalg.ScaleVec(-1, c.Coef), K: -c.K, Eq: true}
-					}
-					break
-				}
+				div, c.K = g, floorDiv(c.K, g)
 			}
 		}
-		key := conKey(c)
-		if j, ok := seen[key]; ok {
+		sign := int64(1)
+		if c.Eq && firstNonzero(c.Coef) < 0 {
+			sign, c.K = -1, -c.K
+		}
+		if div != 1 || sign != 1 {
+			coef := c.Coef
+			if !owned {
+				coef = make([]int64, len(c.Coef))
+			}
+			for k, x := range c.Coef {
+				coef[k] = sign * (x / div)
+			}
+			c.Coef = coef
+		}
+		j, slot, h := idx.lookup(out, c.Coef, 1, c.Eq)
+		if j >= 0 {
 			// Same coefficient vector: keep the tighter constant.
 			if c.Eq {
 				if out[j].K != c.K {
-					p.Cons = nil
-					p.Cons = append(p.Cons, falseCon(p.Dim))
-					return false
+					return p.setFalse()
 				}
 			} else if c.K < out[j].K {
 				out[j].K = c.K
 			}
 			continue
 		}
-		seen[key] = len(out)
+		idx.insert(slot, h, len(out))
 		out = append(out, c)
 	}
 	p.Cons = out
@@ -209,28 +259,31 @@ func (p *Poly) Simplify() bool {
 		if c.Eq {
 			continue
 		}
-		neg := Constraint{Coef: linalg.ScaleVec(-1, c.Coef)}
-		if j, ok := seen[conKey(neg)]; ok && !p.Cons[j].Eq {
-			if c.K+p.Cons[j].K < 0 {
-				p.Cons = nil
-				p.Cons = append(p.Cons, falseCon(p.Dim))
-				return false
-			}
+		if j, _, _ := idx.lookup(p.Cons, c.Coef, -1, false); j >= 0 && c.K+p.Cons[j].K < 0 {
+			return p.setFalse()
 		}
 	}
 	return true
 }
 
-func falseCon(dim int) Constraint {
-	return Constraint{Coef: make([]int64, dim), K: -1}
+// setFalse replaces the constraints with a single unsatisfiable one and
+// returns false, Simplify's verdict for a definitely empty polyhedron.
+func (p *Poly) setFalse() bool {
+	p.Cons = []Constraint{falseCon(p.Dim)}
+	return false
 }
 
-func divVec(v []int64, g int64) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = x / g
+func firstNonzero(v []int64) int64 {
+	for _, x := range v {
+		if x != 0 {
+			return x
+		}
 	}
-	return out
+	return 0
+}
+
+func falseCon(dim int) Constraint {
+	return Constraint{Coef: make([]int64, dim), K: -1}
 }
 
 // floorDiv returns floor(a/b) for b > 0.
@@ -242,16 +295,78 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-func conKey(c Constraint) string {
-	buf := make([]byte, 0, 1+len(c.Coef)*3)
-	if c.Eq {
-		buf = append(buf, '=')
+// conIndex is an open-addressing hash index over a constraint list, keyed by
+// (Eq, Coef). A slot packs the hash's top 32 bits over 1 + the entry's list
+// index (0 marks a free slot); the low hash bits pick the slot. Every tag
+// match is confirmed by comparing the coefficients, so colliding hashes
+// cost a probe, never a wrong answer.
+type conIndex struct {
+	slots []uint64 // power-of-two length, at most half full
+	mask  uint64
+}
+
+func newConIndex(n int, hashMask uint64) conIndex {
+	size := 8
+	for size < 2*n {
+		size *= 2
 	}
-	for _, x := range c.Coef {
-		buf = strconv.AppendInt(buf, x, 10)
-		buf = append(buf, ',')
+	return conIndex{slots: make([]uint64, size), mask: hashMask}
+}
+
+// lookup finds the constraint of cons with the given Eq flag whose
+// coefficients equal sign*coef. It returns that constraint's index, or -1
+// together with the free slot and hash an insert of it would use.
+func (x conIndex) lookup(cons []Constraint, coef []int64, sign int64, eq bool) (j, slot int, h uint64) {
+	h = hashCon(coef, sign, eq) & x.mask
+	m := len(x.slots) - 1
+	for s := int(h) & m; ; s = (s + 1) & m {
+		e := x.slots[s]
+		if e == 0 {
+			return -1, s, h
+		}
+		if e>>32 == h>>32 {
+			j := int(uint32(e)) - 1
+			if c := cons[j]; c.Eq == eq && equalScaled(c.Coef, coef, sign) {
+				return j, s, h
+			}
+		}
 	}
-	return string(buf)
+}
+
+// insert records list entry j, with hash h, at the free slot lookup
+// returned.
+func (x conIndex) insert(slot int, h uint64, j int) {
+	x.slots[slot] = h>>32<<32 | uint64(j+1)
+}
+
+// hashCon hashes (eq, sign*coef) without materializing the scaled vector.
+func hashCon(coef []int64, sign int64, eq bool) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis, word-wise
+	if eq {
+		h = ^h
+	}
+	for _, x := range coef {
+		h = (h ^ uint64(sign*x)) * 1099511628211
+	}
+	// Final avalanche so the low bits used for the slot depend on every
+	// coefficient bit.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// equalScaled reports whether a == sign*b elementwise.
+func equalScaled(a, b []int64, sign int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, x := range a {
+		if x != sign*b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // name returns a printable name for variable i.

@@ -82,7 +82,7 @@ func ceilDiv(a, b int64) int64 {
 func (p *Poly) eliminationChain() []*Poly {
 	chain := make([]*Poly, p.Dim+1)
 	chain[p.Dim] = p
-	cur := p.Clone()
+	cur := p // EliminateVar leaves its receiver untouched
 	for j := p.Dim - 1; j >= 0; j-- {
 		cur, _ = cur.EliminateVar(j)
 		chain[j] = cur
@@ -98,7 +98,7 @@ func (p *Poly) eliminationChain() []*Poly {
 // admits small solutions when feasible). It returns the point and whether
 // one was found.
 func (p *Poly) SampleInt(radius int64) ([]int64, bool) {
-	q := p.Clone()
+	q := p.shallowCopy()
 	if !q.Simplify() {
 		return nil, false
 	}
@@ -193,7 +193,7 @@ func candidateValues(lo, hi, radius int64) []int64 {
 // domains at the block level are small, so enumeration is exact and cheap
 // for costing and execution (DESIGN.md substitution S3).
 func (p *Poly) Enumerate(limit int) ([][]int64, error) {
-	q := p.Clone()
+	q := p.shallowCopy()
 	if !q.Simplify() {
 		return nil, nil
 	}

@@ -32,15 +32,20 @@ func (sch *Schedule) SetRows(stmtID int, rows [][]int64) {
 
 // TimeOf returns the schedule time of a concrete statement instance.
 func (sch *Schedule) TimeOf(s *Statement, x, params []int64) []int64 {
+	return sch.AppendTimeOf(make([]int64, 0, sch.NRows), s, x, params)
+}
+
+// AppendTimeOf appends the time vector TimeOf returns to dst, so callers
+// can pack many time vectors into one backing array.
+func (sch *Schedule) AppendTimeOf(dst []int64, s *Statement, x, params []int64) []int64 {
 	rows, ok := sch.Rows[s.ID]
 	if !ok {
 		panic(fmt.Sprintf("prog: no schedule for statement %s", s.Name))
 	}
-	t := make([]int64, len(rows))
-	for i, r := range rows {
-		t[i] = EvalRow(r, x, params)
+	for _, r := range rows {
+		dst = append(dst, EvalRow(r, x, params))
 	}
-	return t
+	return dst
 }
 
 // LexLess reports a ≺ b for equal-length time vectors.

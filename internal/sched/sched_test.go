@@ -10,7 +10,7 @@ import (
 	"riotshare/internal/prog"
 )
 
-func addMulAnalysis(t *testing.T, n1, n2, n3 int64, bind bool) *deps.Analysis {
+func addMulAnalysis(t testing.TB, n1, n2, n3 int64, bind bool) *deps.Analysis {
 	t.Helper()
 	p := ops.AddMul(ops.AddMulConfig{
 		N1: n1, N2: n2, N3: n3,
@@ -24,7 +24,7 @@ func addMulAnalysis(t *testing.T, n1, n2, n3 int64, bind bool) *deps.Analysis {
 	return an
 }
 
-func sharesByName(t *testing.T, an *deps.Analysis, names ...string) []*deps.CoAccess {
+func sharesByName(t testing.TB, an *deps.Analysis, names ...string) []*deps.CoAccess {
 	t.Helper()
 	var out []*deps.CoAccess
 	for _, n := range names {

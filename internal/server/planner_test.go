@@ -157,6 +157,42 @@ func TestGreedyTierPlanning(t *testing.T) {
 	}
 }
 
+// A cache entry holds the plan table and nothing else of the planner's
+// output: the dependence analysis and the searcher's memo tables are
+// dropped on both the greedy and the full tier, so resident entries do not
+// pin planning scratch.
+func TestPlanCacheRetainsOnlyPlanTable(t *testing.T) {
+	for _, budget := range []time.Duration{10 * time.Second, 0} {
+		s, err := New(Config{
+			Dir:        t.TempDir(),
+			Seed:       testSeed,
+			Programs:   map[string]func() *prog.Program{"addmul-small": smallAddMul},
+			PlanBudget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.Submit(Request{Program: "addmul-small"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.Wait(id); err != nil || st.State != StateDone {
+			t.Fatalf("budget %v: state %v, err %v (%s)", budget, st.State, err, st.Err)
+		}
+		s.planMu.Lock()
+		e := s.planCache["prog:addmul-small"]
+		res, tier := e.res, e.tier
+		s.planMu.Unlock()
+		if res == nil || len(res.Plans) == 0 {
+			t.Fatalf("budget %v: cached entry has no plan table", budget)
+		}
+		if res.Analysis != nil || res.Searcher != nil {
+			t.Errorf("budget %v (tier %s): cached entry retains Analysis=%v Searcher=%v", budget, tier, res.Analysis != nil, res.Searcher != nil)
+		}
+		s.Close()
+	}
+}
+
 // The improver's hot swap, driven deterministically: a baseline-only plan
 // table is installed in the cache as if the greedy tier had produced it,
 // one query runs on it, improveOne is invoked synchronously, and a second
@@ -217,6 +253,9 @@ func TestImproverHotSwapDeterministic(t *testing.T) {
 	}
 	if tier != tierFull {
 		t.Errorf("swapped entry tier = %q, want %q", tier, tierFull)
+	}
+	if swapped.Analysis != nil || swapped.Searcher != nil {
+		t.Errorf("swapped-in table retains Analysis=%v Searcher=%v", swapped.Analysis != nil, swapped.Searcher != nil)
 	}
 	newIO := swapped.Plans[0].Cost.LogicalIOBytes()
 	if newIO >= oldIO {

@@ -220,7 +220,8 @@ type QueryStatus struct {
 // query is the server-side record.
 type query struct {
 	id      string
-	req     Request
+	req     Request // Spec is cleared once built into prog
+	planKey string  // plan-cache key of prog
 	prog    *prog.Program
 	subsets [][]string // restricted plan search, when the program wants one
 
@@ -679,6 +680,14 @@ func (s *Server) Submit(req Request) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// Key the plan cache now and drop the spec: it is built into p, and a
+	// query record outlives its run, so keeping the decoded spec would hold
+	// its JSON tree for the life of the server.
+	planKey := "prog:" + req.Program
+	if req.Spec != nil {
+		planKey = req.Spec.cacheKey()
+		req.Spec = nil
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -688,6 +697,7 @@ func (s *Server) Submit(req Request) (string, error) {
 	q := &query{
 		id:      fmt.Sprintf("q%d", s.nextID),
 		req:     req,
+		planKey: planKey,
 		prog:    p,
 		subsets: subsets,
 		stream:  newStreamState(),
@@ -769,19 +779,15 @@ func (s *Server) extraProgramNames() string {
 	return out
 }
 
-// plans optimizes through the tiered planner, reporting which tier served
-// the table: "cache" (tier 1, a resident entry), "greedy" (tier 2, the
-// budgeted fast-path search under Config.PlanBudget), or "full" (the
-// Apriori enumeration — every miss when no budget is set, and all
-// restricted-plan programs). Greedy-planned entries are handed to the
+// plans optimizes through the tiered planner under the plan-cache key
+// Submit derived, reporting which tier served the table: "cache" (tier 1,
+// a resident entry), "greedy" (tier 2, the budgeted fast-path search
+// under Config.PlanBudget), or "full" (the Apriori enumeration — every
+// miss when no budget is set, and all restricted-plan programs). Greedy-planned entries are handed to the
 // background improver, which hot-swaps a strictly better full-search table
 // into the cache off the query path. The cache key ignores per-query
 // memory caps: plan selection against a cap happens on the cached table.
-func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.Result, string, error) {
-	key := "prog:" + req.Program
-	if req.Spec != nil {
-		key = req.Spec.cacheKey()
-	}
+func (s *Server) plans(key string, p *prog.Program, subsets [][]string) (*core.Result, string, error) {
 	s.planMu.Lock()
 	if e, ok := s.planCache[key]; ok {
 		s.planHits++
@@ -824,6 +830,7 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		res, err = core.OptimizeCtx(context.Background(), p, core.Options{BindParams: true}) //riotvet:allow ctxflow — full-search shared plan fill; see above
 	}
 
+	res = servedPlans(res)
 	s.planMu.Lock()
 	e.res, e.err = res, err
 	e.tier = tier
@@ -833,6 +840,24 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		s.enqueueImprove(key, p)
 	}
 	return res, tier, err
+}
+
+// servedPlans strips a fresh planner result down to what serving reads:
+// the plan table, with timelines that execute but no longer carry event
+// times (DropTimes). The dependence analysis (its polyhedra), the
+// searcher (its memo tables) and the event times are planning scratch,
+// and a cache entry would otherwise keep them alive for as long as it
+// stays resident.
+func servedPlans(res *core.Result) *core.Result {
+	if res == nil {
+		return nil
+	}
+	out := *res
+	out.Analysis, out.Searcher = nil, nil
+	for i := range out.Plans {
+		out.Plans[i].Timeline.DropTimes()
+	}
+	return &out
 }
 
 // evictPlansLocked enforces the plan cache's LRU bound. Entries whose
@@ -918,6 +943,7 @@ func (s *Server) improveOne(ctx context.Context, job improveJob) {
 	if err != nil || len(full.Plans) == 0 {
 		return
 	}
+	full = servedPlans(full)
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
 	e, ok = s.planCache[job.key]
@@ -1026,7 +1052,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	}()
 
 	sp := root.Child("planning")
-	res, tier, err := s.plans(q.req, q.prog, q.subsets)
+	res, tier, err := s.plans(q.planKey, q.prog, q.subsets)
 	sp.End()
 	s.mPlanning.ObserveDuration(sp.Duration())
 	s.mPlanningTier.With(tier).ObserveDuration(sp.Duration())
