@@ -35,7 +35,9 @@ bench:
 # amplification, healthy vs degraded-fallback read latency) into
 # BENCH_replica.json, and the network block-service round-trip benchmarks
 # (remote read/write vs local dir, pipelined vs serial under device
-# latency) into BENCH_remote.json, the telemetry overhead benchmark
+# latency) into BENCH_remote.json — the shard, replica and remote runs with
+# allocs/op, so bench-check gates the block data plane's allocations —
+# the telemetry overhead benchmark
 # (instrumented vs no-op registry on the pipelined exec path — the two
 # must stay within a few percent of each other) into BENCH_telemetry.json,
 # the three-tier planner benchmark (full Apriori search vs budgeted
@@ -53,11 +55,11 @@ bench-json:
 	cat .bench-exec.txt .bench-pool.txt | $(GO) run ./cmd/benchjson -out BENCH_pool.json
 	$(GO) test -run '^$$' -bench 'BenchmarkCachePolicy' -benchmem ./internal/buffer > .bench-cache.txt
 	$(GO) run ./cmd/benchjson -out BENCH_cache.json < .bench-cache.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedRead' -benchtime 5x ./internal/storage > .bench-shard.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedRead' -benchtime 5x -benchmem ./internal/storage > .bench-shard.txt
 	$(GO) run ./cmd/benchjson -out BENCH_shard.json < .bench-shard.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkReplicatedWrite|BenchmarkDegradedRead' -benchtime 5x ./internal/storage > .bench-replica.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkReplicatedWrite|BenchmarkDegradedRead' -benchtime 20x -benchmem ./internal/storage > .bench-replica.txt
 	$(GO) run ./cmd/benchjson -out BENCH_replica.json < .bench-replica.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkRemote' -benchtime 20x ./internal/blockd > .bench-remote.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkRemote' -benchtime 20x -benchmem ./internal/blockd > .bench-remote.txt
 	$(GO) run ./cmd/benchjson -out BENCH_remote.json < .bench-remote.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 5x . > .bench-telemetry.txt
 	$(GO) run ./cmd/benchjson -out BENCH_telemetry.json < .bench-telemetry.txt

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -199,7 +200,13 @@ func compareFiles(oldPath, newPath string, tolerance float64, w io.Writer) (regr
 				verdict = "  REGRESSION"
 				regressions++
 			}
-			fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%%%s\n", "  allocs/op", oa, na, (na-oa)/oa*100, verdict)
+			pct := 0.0 // from a zero-alloc baseline: +0.0% or +Inf%, never NaN
+			if oa > 0 {
+				pct = (na - oa) / oa * 100
+			} else if na > 0 {
+				pct = math.Inf(1)
+			}
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%%%s\n", "  allocs/op", oa, na, pct, verdict)
 		}
 	}
 	// Benchmarks only the new file has (a benchmark that just landed, run

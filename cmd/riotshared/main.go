@@ -375,11 +375,14 @@ func streamResults(addr, id string, chunkBlocks int) error {
 	}
 	aggs := map[string]*arrayAgg{}
 	var order []string
+	// One frame buffer serves the whole stream.
+	var buf []byte
 	for {
-		_, kind, payload, err := blockproto.ReadFrame(resp.Body)
+		_, kind, payload, err := blockproto.ReadFrameInto(resp.Body, buf)
 		if err != nil {
 			return fmt.Errorf("read stream frame: %w", err)
 		}
+		buf = payload
 		d := blockproto.NewDec(payload)
 		switch kind {
 		case server.StreamFrameArray:

@@ -15,6 +15,7 @@
 package blockd
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -183,7 +184,10 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // serveConn answers one connection's requests in order until EOF or a
-// connection-fatal error.
+// connection-fatal error. Requests are answered one at a time, so one
+// request buffer and one response buffer serve the whole connection: a
+// payload is valid only until the next frame. A buffer an oversized frame
+// grew beyond blockproto.MaxKeptBuffer is dropped after use.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -192,8 +196,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
+	br := bufio.NewReader(conn)
+	var req, resp []byte
 	for {
-		version, op, payload, err := blockproto.ReadFrame(conn)
+		version, op, payload, err := blockproto.ReadFrameInto(br, req)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
 				s.logf("blockd: %s: read: %v", conn.RemoteAddr(), err)
@@ -201,15 +207,30 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		t0 := time.Now()
-		status, resp := s.handle(version, op, payload)
+		status, out := s.handle(version, op, payload, resp)
 		s.observeOp(op, status, time.Since(t0))
-		if err := blockproto.WriteFrame(conn, status, resp); err != nil {
+		if err := blockproto.WriteFrame(conn, status, out); err != nil {
 			if !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
 				s.logf("blockd: %s: write: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
+		req = reuse(req, payload)
+		resp = reuse(resp, out)
 	}
+}
+
+// reuse picks the buffer to keep for the next frame: used when it grew out
+// of kept, kept otherwise, and nothing once it outgrew
+// blockproto.MaxKeptBuffer.
+func reuse(kept, used []byte) []byte {
+	switch {
+	case cap(used) > blockproto.MaxKeptBuffer:
+		return nil
+	case cap(used) > cap(kept):
+		return used[:0]
+	}
+	return kept
 }
 
 // isConnReset matches the peer-went-away errors a killed client leaves
@@ -224,8 +245,9 @@ func errStatus(status byte, err error) (byte, []byte) {
 	return status, new(blockproto.Enc).Str(err.Error()).Bytes()
 }
 
-// handle answers one decoded request frame.
-func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
+// handle answers one decoded request frame. Block reads build their
+// response in resp's storage.
+func (s *Server) handle(version, op byte, payload, resp []byte) (byte, []byte) {
 	if version != blockproto.ProtoVersion {
 		return errStatus(blockproto.StatusBadVersion,
 			fmt.Errorf("blockd: protocol version %d, server speaks %d", version, blockproto.ProtoVersion))
@@ -273,13 +295,15 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		blk, err := s.mgr.ReadBlock(name, r, c)
+		// Reserve the shape and length words, read the stored bytes straight
+		// in behind them, then stamp the shape.
+		out, rows, cols, err := s.mgr.ReadBlockRaw(name, r, c,
+			append(resp[:0], make([]byte, blockproto.BlockHeaderBytes)...))
 		if err != nil {
-			return errStatus(readErrStatus(err), err)
+			return errStatus(storeErrStatus(err), err)
 		}
-		e := new(blockproto.Enc).U32(uint32(blk.Rows)).U32(uint32(blk.Cols))
-		e.Blob(blockproto.EncodeBlock(blk))
-		return blockproto.StatusOK, e.Bytes()
+		blockproto.PutBlockHeader(out, rows, cols)
+		return blockproto.StatusOK, out
 
 	case blockproto.OpWrite:
 		name, r, c := d.Str(), d.I64(), d.I64()
@@ -288,12 +312,8 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		blk, err := blockproto.DecodeBlock(rows, cols, raw)
-		if err != nil {
-			return errStatus(blockproto.StatusBadRequest, err)
-		}
-		if err := s.mgr.WriteBlock(name, r, c, blk); err != nil {
-			return errStatus(readErrStatus(err), err)
+		if err := s.mgr.WriteBlockRaw(name, r, c, rows, cols, raw); err != nil {
+			return errStatus(storeErrStatus(err), err)
 		}
 		return blockproto.StatusOK, nil
 
@@ -303,7 +323,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
 		if err := s.mgr.Drop(name, deleteFile); err != nil {
-			return errStatus(readErrStatus(err), err)
+			return errStatus(storeErrStatus(err), err)
 		}
 		return blockproto.StatusOK, nil
 
@@ -404,11 +424,15 @@ func (s *Server) storePath(name string) string {
 	return filepath.Join(s.root, name+"."+s.opt.Format.String())
 }
 
-// readErrStatus classifies a Manager error for the wire: "unknown array"
+// storeErrStatus classifies a Manager error for the wire: "unknown array"
 // becomes its own status so clients can treat it as an application error
-// (never a connection failure).
-func readErrStatus(err error) byte {
-	if strings.Contains(err.Error(), "unknown array") {
+// (never a connection failure), and a block that does not fit its array's
+// geometry is a malformed request.
+func storeErrStatus(err error) byte {
+	switch {
+	case errors.Is(err, storage.ErrBadBlock):
+		return blockproto.StatusBadRequest
+	case strings.Contains(err.Error(), "unknown array"):
 		return blockproto.StatusUnknownArray
 	}
 	return blockproto.StatusErr

@@ -25,9 +25,12 @@ package blockproto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"slices"
 
 	"riotshare/internal/blas"
 )
@@ -110,7 +113,8 @@ const (
 )
 
 // WriteFrame emits one frame (version, kind, payload) to w. kind is an
-// opcode on the request path and a status on the response path.
+// opcode on the request path and a status on the response path. Header and
+// payload leave in one write — a single writev on a network connection.
 func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	if len(payload)+2 > MaxFrameBytes {
 		return fmt.Errorf("blockproto: frame payload %d bytes exceeds limit %d", len(payload), MaxFrameBytes)
@@ -119,40 +123,90 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)+2))
 	hdr[4] = ProtoVersion
 	hdr[5] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
+	if len(payload) == 0 {
+		_, err := w.Write(hdr[:])
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	bufs := net.Buffers{hdr[:], payload}
+	_, err := bufs.WriteTo(w)
+	return err
 }
+
+// frameGrowStep is how far ahead of the bytes received a frame payload
+// buffer may grow: ReadFrameInto allocates at most this much before the
+// first payload byte arrives, then at most doubles what has arrived.
+const frameGrowStep = 1 << 20
+
+// MaxKeptBuffer bounds the capacity of a frame buffer worth keeping for
+// reuse. Connections and buffer pools drop a buffer that an oversized frame
+// grew beyond it, so one large request cannot pin its memory for the life
+// of a connection.
+const MaxKeptBuffer = 1 << 20
 
 // ReadFrame reads one frame from r, returning its version, kind (opcode or
 // status), and payload. It validates only the length bound — version
 // checking is the caller's, so servers can answer a bad version with
 // StatusBadVersion instead of hanging up.
 func ReadFrame(r io.Reader) (version, kind byte, payload []byte, err error) {
-	var hdr [6]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	return ReadFrameInto(r, nil)
+}
+
+// ReadFrameInto is ReadFrame reading the payload into buf when its capacity
+// suffices, so a caller that reuses buf reads frame after frame without
+// allocating. The returned payload aliases buf (or a larger replacement);
+// it is valid until the caller reuses the buffer. A larger frame grows the
+// buffer only as its bytes arrive, so a length prefix alone cannot make the
+// reader allocate MaxFrameBytes.
+func ReadFrameInto(r io.Reader, buf []byte) (version, kind byte, payload []byte, err error) {
+	// The header lands in buf too (a local array would escape through r),
+	// and the payload then overwrites it.
+	hdr := slices.Grow(buf[:0], 6)[:6]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:])
 	if n < 2 || n > MaxFrameBytes {
 		return 0, 0, nil, fmt.Errorf("blockproto: frame length %d out of range [2, %d]", n, MaxFrameBytes)
 	}
-	payload = make([]byte, n-2)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, err
+	version, kind = hdr[4], hdr[5]
+	if payload, err = readPayload(r, hdr[:0], int(n-2)); err != nil {
+		return 0, 0, nil, noEOF(err)
 	}
-	return hdr[4], hdr[5], payload, nil
+	return version, kind, payload, nil
+}
+
+// readPayload reads exactly n bytes into buf, growing it in steps of at
+// most max(frameGrowStep, bytes received so far).
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), frameGrowStep)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// noEOF reports a frame cut short after its header as unexpected EOF: only
+// a clean end between frames is io.EOF.
+func noEOF(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Enc builds a frame payload: fixed-width big-endian integers,
 // length-prefixed strings and blobs.
 type Enc struct{ buf []byte }
+
+// Reset starts a new payload in buf's storage (truncated to length 0), so a
+// caller encoding frame after frame can reuse one buffer.
+func (e *Enc) Reset(buf []byte) *Enc { e.buf = buf[:0]; return e }
 
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.buf }
@@ -266,23 +320,52 @@ func (d *Dec) Blob() []byte {
 	return d.take(int(ln))
 }
 
-// EncodeBlock serializes a block matrix as little-endian IEEE-754 float64
-// bits, row-major — the byte layout the on-disk stores use, so the server
-// can pass payloads straight through.
-func EncodeBlock(blk *blas.Matrix) []byte {
-	buf := make([]byte, 8*len(blk.Data))
+// Block appends blk as a blob: the uint32 length prefix, then AppendBlock's
+// bytes — straight into the payload, with no intermediate slice.
+func (e *Enc) Block(blk *blas.Matrix) *Enc {
+	e.buf = AppendBlock(binary.BigEndian.AppendUint32(e.buf, uint32(8*len(blk.Data))), blk)
+	return e
+}
+
+// AppendBlock appends blk's elements to dst as little-endian IEEE-754
+// float64 bits, row-major — the byte layout the on-disk stores use, so the
+// server passes block payloads straight through.
+func AppendBlock(dst []byte, blk *blas.Matrix) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(blk.Data))[:n+8*len(blk.Data)]
 	for i, v := range blk.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[n+i*8:], math.Float64bits(v))
 	}
-	return buf
+	return dst
+}
+
+// EncodeBlock serializes a block matrix in AppendBlock's layout.
+func EncodeBlock(blk *blas.Matrix) []byte { return AppendBlock(nil, blk) }
+
+// BlockHeaderBytes is the size of the shape-and-length words in front of
+// the block bytes of an OpRead response: u32 rows, u32 cols, u32 blob
+// length.
+const BlockHeaderBytes = 12
+
+// PutBlockHeader fills the first BlockHeaderBytes of an OpRead response
+// payload — rows, cols, and the length of the block bytes behind the
+// header — so a server can read a block straight in behind a reserved
+// header and stamp its shape afterwards.
+func PutBlockHeader(payload []byte, rows, cols int) {
+	binary.BigEndian.PutUint32(payload[0:], uint32(rows))
+	binary.BigEndian.PutUint32(payload[4:], uint32(cols))
+	binary.BigEndian.PutUint32(payload[8:], uint32(len(payload)-BlockHeaderBytes))
 }
 
 // DecodeBlock deserializes an EncodeBlock payload into a rows×cols matrix.
 func DecodeBlock(rows, cols int, payload []byte) (*blas.Matrix, error) {
-	blk := blas.NewMatrix(rows, cols)
-	if want := 8 * len(blk.Data); len(payload) != want {
-		return nil, fmt.Errorf("blockproto: block payload %d bytes, want %d for %dx%d", len(payload), want, rows, cols)
+	// Bound each side before multiplying: a hostile shape must neither
+	// overflow the product nor allocate a matrix the payload cannot fill.
+	const maxSide = MaxFrameBytes / 8
+	if rows < 0 || cols < 0 || rows > maxSide || cols > maxSide || 8*rows*cols != len(payload) {
+		return nil, fmt.Errorf("blockproto: block payload %d bytes does not fit a %dx%d block", len(payload), rows, cols)
 	}
+	blk := blas.NewMatrix(rows, cols)
 	for i := range blk.Data {
 		blk.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}

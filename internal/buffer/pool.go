@@ -65,7 +65,7 @@ type Pool struct {
 	capBytes int64
 
 	mu     sync.Mutex
-	frames map[string]*frame
+	frames map[blockKey]*frame
 	policy Policy
 	quotas map[string]int64 // per-tenant byte quotas (missing = unbounded)
 	bytes  int64
@@ -89,11 +89,18 @@ type tenantCounters struct {
 	bytes        int64
 }
 
+// blockKey names one block of one array: the frames map's key.
+type blockKey struct {
+	array string
+	r, c  int64
+}
+
+// String formats the key for error messages.
+func (k blockKey) String() string { return fmt.Sprintf("%s[%d,%d]", k.array, k.r, k.c) }
+
 // frame is one cached block.
 type frame struct {
-	array  string
-	r, c   int64
-	key    string
+	blockKey
 	tenant string // installer, for quota accounting
 
 	blk   *blas.Matrix
@@ -140,16 +147,12 @@ func NewPoolOptions(store storage.Backend, opt Options) (*Pool, error) {
 	return &Pool{
 		store:    store,
 		capBytes: opt.CapacityBytes,
-		frames:   make(map[string]*frame),
+		frames:   make(map[blockKey]*frame),
 		policy:   pol,
 		quotas:   quotas,
 		tenants:  make(map[string]*tenantCounters),
 		arrays:   make(map[string]int64),
 	}, nil
-}
-
-func poolKey(array string, r, c int64) string {
-	return fmt.Sprintf("%s[%d,%d]", array, r, c)
 }
 
 // tenantLocked returns (creating on first use) the per-tenant counters;
@@ -192,7 +195,7 @@ func (p *Pool) Acquire(array string, r, c int64) (*blas.Matrix, error) {
 }
 
 func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
-	key := poolKey(array, r, c)
+	key := blockKey{array, r, c}
 	p.mu.Lock()
 	if f, ok := p.frames[key]; ok {
 		f.pins++
@@ -224,7 +227,7 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	}
 
 	// Miss: install a loading frame and become the leader.
-	f := &frame{array: array, r: r, c: c, key: key, tenant: tenant, pins: 1, loading: make(chan struct{})}
+	f := &frame{blockKey: key, tenant: tenant, pins: 1, loading: make(chan struct{})}
 	p.frames[key] = f
 	p.misses++
 	p.tenantLocked(tenant).misses++
@@ -280,7 +283,7 @@ func (p *Pool) Put(array string, r, c int64, blk *blas.Matrix) error {
 
 func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 	cl := blk.Clone() // copy outside the lock; the caller keeps mutating blk
-	key := poolKey(array, r, c)
+	key := blockKey{array, r, c}
 	p.mu.Lock()
 	f := p.frames[key]
 	for f != nil && f.loading != nil {
@@ -294,7 +297,7 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 		f = p.frames[key]
 	}
 	if f == nil {
-		f = &frame{array: array, r: r, c: c, key: key, tenant: tenant}
+		f = &frame{blockKey: key, tenant: tenant}
 		p.frames[key] = f
 	} else {
 		// Re-written block: a re-reference for the policy, and its bytes
@@ -319,7 +322,7 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 // Unpin releases n pins on the block's frame; a frame whose last pin
 // releases joins the eviction order and becomes evictable.
 func (p *Pool) Unpin(array string, r, c int64, n int) {
-	key := poolKey(array, r, c)
+	key := blockKey{array, r, c}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f, ok := p.frames[key]
@@ -347,7 +350,7 @@ func (p *Pool) Unpin(array string, r, c int64, n int) {
 // happens) and ages out through the normal policy instead; an absent
 // frame is a no-op.
 func (p *Pool) ReleaseBlock(array string, r, c int64) error {
-	key := poolKey(array, r, c)
+	key := blockKey{array, r, c}
 	p.mu.Lock()
 	f, ok := p.frames[key]
 	if !ok || f.loading != nil {
@@ -415,12 +418,12 @@ func (p *Pool) evictFrameLocked(f *frame) error {
 		// with its accounting. //riotvet:allow lockio
 		if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
 			p.policy.requeue(f)
-			return fmt.Errorf("buffer: write-back %s: %w", f.key, err)
+			return fmt.Errorf("buffer: write-back %s: %w", f.blockKey, err)
 		}
 		f.dirty = false
 		p.writebacks++
 	}
-	delete(p.frames, f.key)
+	delete(p.frames, f.blockKey)
 	p.forgetLocked(f)
 	p.evictions++
 	return nil
@@ -476,7 +479,7 @@ func (p *Pool) Flush() error {
 		// race the durability sweep; it runs at shutdown/checkpoint, not
 		// on the query path. //riotvet:allow lockio
 		if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
-			return fmt.Errorf("buffer: flush %s: %w", f.key, err)
+			return fmt.Errorf("buffer: flush %s: %w", f.blockKey, err)
 		}
 		f.dirty = false
 		p.writebacks++
@@ -504,7 +507,7 @@ func (p *Pool) InvalidateArray(array string) error {
 			// atomic with dropping the frame, and runs once per query, off
 			// the hot acquire path. //riotvet:allow lockio
 			if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
-				return fmt.Errorf("buffer: invalidate %s: %w", f.key, err)
+				return fmt.Errorf("buffer: invalidate %s: %w", f.blockKey, err)
 			}
 			f.dirty = false
 			p.writebacks++

@@ -201,10 +201,14 @@ type streamSink interface {
 	Error(msg string) error
 }
 
-// binarySink writes blockproto frames with the stream frame kinds.
-type binarySink struct{ w io.Writer }
+// binarySink writes blockproto frames with the stream frame kinds. Block
+// frames are encoded into one buffer reused for the whole stream.
+type binarySink struct {
+	w   io.Writer
+	buf []byte
+}
 
-func (b binarySink) Array(name string, arr *prog.Array) error {
+func (b *binarySink) Array(name string, arr *prog.Array) error {
 	var e blockproto.Enc
 	e.Str(name).
 		U32(uint32(arr.BlockRows)).U32(uint32(arr.BlockCols)).
@@ -212,21 +216,21 @@ func (b binarySink) Array(name string, arr *prog.Array) error {
 	return blockproto.WriteFrame(b.w, StreamFrameArray, e.Bytes())
 }
 
-func (b binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
+func (b *binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
 	var e blockproto.Enc
-	e.Str(name).I64(r).I64(c).
+	b.buf = e.Reset(b.buf).Str(name).I64(r).I64(c).
 		U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).
-		Blob(blockproto.EncodeBlock(blk))
-	return blockproto.WriteFrame(b.w, StreamFrameBlock, e.Bytes())
+		Block(blk).Bytes()
+	return blockproto.WriteFrame(b.w, StreamFrameBlock, b.buf)
 }
 
-func (b binarySink) End(arrays, blocks int, bytes int64) error {
+func (b *binarySink) End(arrays, blocks int, bytes int64) error {
 	var e blockproto.Enc
 	e.U32(uint32(arrays)).U32(uint32(blocks)).I64(bytes)
 	return blockproto.WriteFrame(b.w, StreamFrameEnd, e.Bytes())
 }
 
-func (b binarySink) Error(msg string) error {
+func (b *binarySink) Error(msg string) error {
 	var e blockproto.Enc
 	e.Str(msg)
 	return blockproto.WriteFrame(b.w, StreamFrameError, e.Bytes())
@@ -316,7 +320,7 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request) {
 	if opt.format == "ndjson" {
 		sink = ndjsonSink{w: w}
 	} else {
-		sink = binarySink{w: w}
+		sink = &binarySink{w: w}
 	}
 	flush := func() {}
 	if f, ok := w.(http.Flusher); ok {
@@ -566,7 +570,7 @@ func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string, chunkB
 		chunkBlocks = 1
 	}
 	opt := streamOptions{format: "binary", chunk: chunkBlocks, retain: RetainEvict}
-	_, _, _, err := s.streamBlocks(ctx, q, opt, binarySink{w: w}, func() {})
+	_, _, _, err := s.streamBlocks(ctx, q, opt, &binarySink{w: w}, func() {})
 	return err
 }
 

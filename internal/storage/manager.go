@@ -1,16 +1,18 @@
 package storage
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"riotshare/internal/blas"
+	"riotshare/internal/blockproto"
 	"riotshare/internal/prog"
 )
 
@@ -19,8 +21,9 @@ import (
 type BlockStore interface {
 	// Write stores one block payload under its linearized index.
 	Write(idx uint64, data []byte) error
-	// Read fetches the payload stored under idx.
-	Read(idx uint64) ([]byte, error)
+	// ReadInto appends the payload stored under idx to dst and returns the
+	// extended slice.
+	ReadInto(idx uint64, dst []byte) ([]byte, error)
 	// Sync flushes buffered writes to the device.
 	Sync() error
 	// Close releases the store's file handle(s).
@@ -54,14 +57,19 @@ func (d *DAF) Write(idx uint64, data []byte) error {
 	return err
 }
 
-// Read fetches a block payload.
-func (d *DAF) Read(idx uint64) ([]byte, error) {
-	buf := make([]byte, d.blockBytes)
-	n, err := d.f.ReadAt(buf, int64(idx)*d.blockBytes)
-	if err != nil && n != len(buf) {
-		return nil, fmt.Errorf("storage: DAF read block %d: %w", idx, err)
+// Read fetches a block payload into a new slice.
+func (d *DAF) Read(idx uint64) ([]byte, error) { return d.ReadInto(idx, nil) }
+
+// ReadInto reads a block payload straight into dst's spare capacity
+// (growing it if needed) and returns the extended slice.
+func (d *DAF) ReadInto(idx uint64, dst []byte) ([]byte, error) {
+	n := len(dst)
+	out := slices.Grow(dst, int(d.blockBytes))[:n+int(d.blockBytes)]
+	got, err := d.f.ReadAt(out[n:], int64(idx)*d.blockBytes)
+	if err != nil && got != int(d.blockBytes) {
+		return dst, fmt.Errorf("storage: DAF read block %d: %w", idx, err)
 	}
-	return buf, nil
+	return out, nil
 }
 
 // Sync flushes the file.
@@ -85,10 +93,16 @@ func (s *labStore) Write(idx uint64, data []byte) error {
 	return s.t.Write(idx, data)
 }
 
-func (s *labStore) Read(idx uint64) ([]byte, error) {
+// ReadInto copies the tree's payload into dst: the LAB-tree reassembles
+// a block from its page chain, so it keeps its own read path.
+func (s *labStore) ReadInto(idx uint64, dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.t.Read(idx)
+	data, err := s.t.Read(idx)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, data...), nil
 }
 
 func (s *labStore) Sync() error {
@@ -179,7 +193,7 @@ type Manager struct {
 	// request. Logical I/O accounting is the executor's job, so sharing a
 	// physical read never distorts the paper-scale volumes.
 	inflightMu sync.Mutex
-	inflight   map[string]*inflightRead
+	inflight   map[blockKey]*inflightRead
 
 	// Physical I/O counters (atomic): requests that actually reached a
 	// block store. Coalesced read followers and buffer-pool hits do not
@@ -228,12 +242,21 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// inflightRead is one in-progress coalesced block read.
+// blockKey names one block of one array.
+type blockKey struct {
+	array string
+	r, c  int64
+}
+
+// inflightRead is one in-progress coalesced block read. The leader fills
+// data (a copy of its bytes), rows, cols and err before closing done, and
+// only when followers joined.
 type inflightRead struct {
-	done    chan struct{}
-	blk     *blas.Matrix
-	err     error
-	waiters int
+	done       chan struct{}
+	data       []byte
+	rows, cols int
+	err        error
+	waiters    int
 }
 
 // NewManager creates a storage manager writing under dir.
@@ -247,7 +270,7 @@ func NewManager(dir string, format Format) (*Manager, error) {
 		Linearize: ColMajor,
 		stores:    make(map[string]BlockStore),
 		arrays:    make(map[string]*prog.Array),
-		inflight:  make(map[string]*inflightRead),
+		inflight:  make(map[blockKey]*inflightRead),
 	}, nil
 }
 
@@ -311,89 +334,141 @@ func (m *Manager) CreateAll(p *prog.Program) error {
 	return nil
 }
 
-// WriteBlock serializes and stores one block.
+// ErrBadBlock marks a block whose shape or byte length does not match its
+// array's block geometry. The write is malformed and nothing is stored.
+var ErrBadBlock = errors.New("storage: block does not match the array's geometry")
+
+// blockBufs recycles the scratch byte buffers a decoded block passes
+// through on its way to and from a store or a remote shard: encode and
+// decode scratch for local I/O, request and response frames for remote
+// I/O. Buffers that outgrew blockproto.MaxKeptBuffer are not kept.
+var blockBufs sync.Pool
+
+// getBuf takes an empty buffer from blockBufs.
+func getBuf() *[]byte {
+	if bp, ok := blockBufs.Get().(*[]byte); ok {
+		return bp
+	}
+	return new([]byte)
+}
+
+// putBuf returns *bp to blockBufs; the caller must not touch it again.
+func putBuf(bp *[]byte) {
+	if bp == nil || cap(*bp) > blockproto.MaxKeptBuffer {
+		return
+	}
+	*bp = (*bp)[:0]
+	blockBufs.Put(bp)
+}
+
+// WriteBlock serializes and stores one block through WriteBlockRaw.
 func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
+	bp := getBuf()
+	*bp = blockproto.AppendBlock(*bp, blk)
+	err := m.WriteBlockRaw(array, r, c, blk.Rows, blk.Cols, *bp)
+	putBuf(bp)
+	return err
+}
+
+// WriteBlockRaw stores one block given as its stored bytes: rows×cols
+// float64 elements, little-endian, row-major (blockproto.AppendBlock's
+// layout). A shape or length that does not match the array's block
+// geometry fails with ErrBadBlock before anything is written. data is
+// not retained.
+func (m *Manager) WriteBlockRaw(array string, r, c int64, rows, cols int, data []byte) error {
 	arr, st, err := m.lookup(array)
 	if err != nil {
 		return err
 	}
+	if rows != arr.BlockRows || cols != arr.BlockCols {
+		return fmt.Errorf("%w: block shape %dx%d, array %s wants %dx%d",
+			ErrBadBlock, rows, cols, array, arr.BlockRows, arr.BlockCols)
+	}
+	if want := 8 * rows * cols; len(data) != want {
+		return fmt.Errorf("%w: %s[%d,%d] payload %d bytes, want %d", ErrBadBlock, array, r, c, len(data), want)
+	}
 	m.simulate(m.WriteLatency)
-	if blk.Rows != arr.BlockRows || blk.Cols != arr.BlockCols {
-		return fmt.Errorf("storage: block shape %dx%d, array %s wants %dx%d",
-			blk.Rows, blk.Cols, array, arr.BlockRows, arr.BlockCols)
-	}
-	buf := make([]byte, 8*len(blk.Data))
-	for i, v := range blk.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	if err := st.Write(m.Linearize(r, c, arr.GridRows, arr.GridCols), buf); err != nil {
+	if err := st.Write(m.Linearize(r, c, arr.GridRows, arr.GridCols), data); err != nil {
 		return err
 	}
 	m.physWriteReqs.Add(1)
-	m.physWriteBytes.Add(int64(len(buf)))
+	m.physWriteBytes.Add(int64(len(data)))
 	return nil
 }
 
-// ReadBlock fetches and deserializes one block. Concurrent reads of the
-// same block coalesce: one disk request serves all callers. The leader
-// hands its matrix over directly; followers receive private copies, since
-// callers may install the result into a mutable buffer pool.
+// ReadBlock fetches and deserializes one block through ReadBlockRaw, so it
+// shares the raw path's checks, counters and read coalescing. The matrix
+// is the caller's own.
 func (m *Manager) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
-	key := readKey(array, r, c)
+	bp := getBuf()
+	data, rows, cols, err := m.ReadBlockRaw(array, r, c, *bp)
+	var blk *blas.Matrix
+	if err == nil {
+		blk, err = blockproto.DecodeBlock(rows, cols, data)
+	}
+	*bp = data
+	putBuf(bp)
+	return blk, err
+}
+
+// ReadBlockRaw appends one block's stored bytes to dst and returns the
+// extended slice together with the block's shape; the bytes are in
+// WriteBlockRaw's layout. Concurrent reads of the same block coalesce: one
+// physical request serves every caller. The leader reads straight into its
+// own dst; followers receive a copy of the bytes, since the leader's
+// caller may reuse its buffer as soon as the call returns. On error dst
+// comes back unchanged.
+func (m *Manager) ReadBlockRaw(array string, r, c int64, dst []byte) (data []byte, rows, cols int, err error) {
+	key := blockKey{array, r, c}
 	m.inflightMu.Lock()
 	if call, ok := m.inflight[key]; ok {
 		call.waiters++
 		m.inflightMu.Unlock()
 		<-call.done
 		if call.err != nil {
-			return nil, call.err
+			return dst, 0, 0, call.err
 		}
-		return call.blk.Clone(), nil
+		return append(dst, call.data...), call.rows, call.cols, nil
 	}
 	call := &inflightRead{done: make(chan struct{})}
 	m.inflight[key] = call
 	m.inflightMu.Unlock()
 
-	blk, err := m.readBlock(array, r, c)
-	call.blk, call.err = blk, err
+	data, rows, cols, err = m.readBlock(array, r, c, dst)
 	m.inflightMu.Lock()
 	delete(m.inflight, key)
 	shared := call.waiters > 0
 	m.inflightMu.Unlock()
-	if shared && err == nil {
-		// Followers clone call.blk after done closes; leave it pristine and
-		// hand the leader its own copy too.
-		blk = blk.Clone()
+	if shared {
+		// No follower can join once the key is gone, so one copy serves
+		// them all.
+		call.rows, call.cols, call.err = rows, cols, err
+		if err == nil {
+			call.data = bytes.Clone(data[len(dst):])
+		}
 	}
 	close(call.done)
-	return blk, err
+	return data, rows, cols, err
 }
 
-// readBlock performs the physical read.
-func (m *Manager) readBlock(array string, r, c int64) (*blas.Matrix, error) {
+// readBlock performs the physical read, appending to dst.
+func (m *Manager) readBlock(array string, r, c int64, dst []byte) ([]byte, int, int, error) {
 	arr, st, err := m.lookup(array)
 	if err != nil {
-		return nil, err
+		return dst, 0, 0, err
 	}
 	m.simulate(m.ReadLatency)
-	buf, err := st.Read(m.Linearize(r, c, arr.GridRows, arr.GridCols))
+	data, err := st.ReadInto(m.Linearize(r, c, arr.GridRows, arr.GridCols), dst)
 	if err != nil {
-		return nil, fmt.Errorf("storage: read %s[%d,%d]: %w", array, r, c, err)
+		return dst, 0, 0, fmt.Errorf("storage: read %s[%d,%d]: %w", array, r, c, err)
 	}
+	n := len(data) - len(dst)
 	m.physReadReqs.Add(1)
-	m.physReadBytes.Add(int64(len(buf)))
-	blk := blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-	if want := 8 * len(blk.Data); len(buf) != want {
-		return nil, fmt.Errorf("storage: %s[%d,%d] payload %d bytes, want %d", array, r, c, len(buf), want)
+	m.physReadBytes.Add(int64(n))
+	if want := 8 * arr.BlockRows * arr.BlockCols; n != want {
+		return dst, 0, 0, fmt.Errorf("storage: %s[%d,%d] payload %d bytes, want %d", array, r, c, n, want)
 	}
-	for i := range blk.Data {
-		blk.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return blk, nil
-}
-
-func readKey(array string, r, c int64) string {
-	return fmt.Sprintf("%s[%d,%d]", array, r, c)
+	return data, arr.BlockRows, arr.BlockCols, nil
 }
 
 func (m *Manager) lookup(array string) (*prog.Array, BlockStore, error) {

@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -152,19 +153,24 @@ type remoteConn struct {
 	drainMu sync.Mutex
 }
 
-// pendingCall is one in-flight request awaiting its response.
+// pendingCall is one in-flight request awaiting its response. A non-empty
+// payload lives in buf, a blockBufs buffer the call now owns.
 type pendingCall struct {
 	done    chan struct{}
 	status  byte
 	payload []byte
+	buf     *[]byte
 	err     error
 }
 
 // readLoop delivers responses to pending calls in order until the
-// connection dies.
+// connection dies. Each frame is read into a pooled buffer whose ownership
+// passes to the call; the next frame reads into a fresh one.
 func (rc *remoteConn) readLoop() {
+	br := bufio.NewReader(rc.conn)
+	bp := getBuf()
 	for {
-		_, status, payload, err := blockproto.ReadFrame(rc.conn)
+		_, status, payload, err := blockproto.ReadFrameInto(br, *bp)
 		if err != nil {
 			rc.fail(fmt.Errorf("read response: %w", err))
 			return
@@ -179,7 +185,12 @@ func (rc *remoteConn) readLoop() {
 			rc.fail(errors.New("unsolicited response frame"))
 			return
 		}
-		call.status, call.payload = status, payload
+		call.status = status
+		if len(payload) > 0 {
+			*bp = payload
+			call.payload, call.buf = payload, bp
+			bp = getBuf()
+		}
 		close(call.done)
 	}
 }
@@ -285,17 +296,19 @@ func classifyDial(err error) error {
 	return &transientError{fmt.Errorf("dial: %w", err)}
 }
 
-// attempt performs one request/response round-trip on one connection.
-func (s *RemoteShard) attempt(op byte, req []byte) (byte, []byte, error) {
+// attempt performs one request/response round-trip on one connection. The
+// response payload lives in the returned pooled buffer (nil for an empty
+// payload).
+func (s *RemoteShard) attempt(op byte, req []byte) (byte, []byte, *[]byte, error) {
 	rc, err := s.conn()
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	call := &pendingCall{done: make(chan struct{})}
 	rc.wmu.Lock()
 	if rc.broken.Load() {
 		rc.wmu.Unlock()
-		return 0, nil, &transientError{errors.New("connection already failed")}
+		return 0, nil, nil, &transientError{errors.New("connection already failed")}
 	}
 	rc.pending <- call
 	rc.conn.SetWriteDeadline(time.Now().Add(s.opt.OpTimeout))
@@ -305,7 +318,7 @@ func (s *RemoteShard) attempt(op byte, req []byte) (byte, []byte, error) {
 	if err != nil {
 		rc.fail(fmt.Errorf("write request: %w", err))
 		<-call.done
-		return 0, nil, call.err
+		return 0, nil, nil, call.err
 	}
 	timer := time.NewTimer(s.opt.OpTimeout)
 	defer timer.Stop()
@@ -320,36 +333,45 @@ func (s *RemoteShard) attempt(op byte, req []byte) (byte, []byte, error) {
 		<-call.done
 	}
 	if call.err != nil {
-		return 0, nil, call.err
+		return 0, nil, nil, call.err
 	}
-	return call.status, call.payload, nil
+	return call.status, call.payload, call.buf, nil
 }
 
 // do runs one operation with retry-with-backoff: transient failures retry
 // up to Retries times on fresh connections; persistent failures (refused,
 // retries exhausted) come back wrapping ErrShardUnavailable; server-side
-// application errors return as *ServerError immediately.
+// application errors return as *ServerError immediately. The OK payload is
+// the caller's to keep.
 func (s *RemoteShard) do(op byte, req []byte) ([]byte, error) {
+	payload, _, err := s.doPooled(op, req)
+	return payload, err
+}
+
+// doPooled is do returning the OK payload in a pooled buffer, which the
+// caller hands back with putBuf once it no longer refers to the payload.
+func (s *RemoteShard) doPooled(op byte, req []byte) ([]byte, *[]byte, error) {
 	backoff := s.opt.RetryBackoff
 	for att := 0; ; att++ {
-		status, payload, err := s.attempt(op, req)
+		status, payload, bp, err := s.attempt(op, req)
 		if err == nil {
 			if status == blockproto.StatusOK {
-				return payload, nil
+				return payload, bp, nil
 			}
 			msg := blockproto.NewDec(payload).Str()
+			putBuf(bp)
 			if msg == "" {
 				msg = fmt.Sprintf("server error (status %d)", status)
 			}
-			return nil, &ServerError{Status: status, Msg: msg}
+			return nil, nil, &ServerError{Status: status, Msg: msg}
 		}
 		var tr *transientError
 		if !errors.As(err, &tr) {
 			// Persistent already (refused, client closed).
-			return nil, err
+			return nil, nil, err
 		}
 		if att >= s.opt.Retries {
-			return nil, fmt.Errorf("%w: %s: %v (after %d attempts)", ErrShardUnavailable, s.addr, err, att+1)
+			return nil, nil, fmt.Errorf("%w: %s: %v (after %d attempts)", ErrShardUnavailable, s.addr, err, att+1)
 		}
 		s.retries.Add(1)
 		time.Sleep(backoff)
@@ -428,12 +450,16 @@ func (s *RemoteShard) CreateAll(p *prog.Program) error {
 	return nil
 }
 
-// WriteBlock sends one block to the server.
+// WriteBlock sends one block to the server, encoding the request header
+// and the block into one pooled buffer.
 func (s *RemoteShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
-	e := new(blockproto.Enc).Str(array).I64(r).I64(c).
+	bp := getBuf()
+	var e blockproto.Enc
+	*bp = e.Reset(*bp).Str(array).I64(r).I64(c).
 		U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).
-		Blob(blockproto.EncodeBlock(blk))
-	_, err := s.do(blockproto.OpWrite, e.Bytes())
+		Block(blk).Bytes()
+	_, err := s.do(blockproto.OpWrite, *bp)
+	putBuf(bp)
 	if err != nil {
 		return fmt.Errorf("storage: remote write %s[%d,%d] @%s: %w", array, r, c, s.addr, err)
 	}
@@ -444,10 +470,11 @@ func (s *RemoteShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) err
 // across the connection pool; the server coalesces duplicate reads.
 func (s *RemoteShard) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
 	e := new(blockproto.Enc).Str(array).I64(r).I64(c)
-	payload, err := s.do(blockproto.OpRead, e.Bytes())
+	payload, bp, err := s.doPooled(blockproto.OpRead, e.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("storage: remote read %s[%d,%d] @%s: %w", array, r, c, s.addr, err)
 	}
+	defer putBuf(bp)
 	d := blockproto.NewDec(payload)
 	rows, cols := int(d.U32()), int(d.U32())
 	raw := d.Blob()
