@@ -27,9 +27,11 @@ test-e2ebench:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Seed the perf trajectory: parallel-exec + buffer-pool benchmarks as JSON
-# (op, ns/op, hit rate) into BENCH_pool.json, the eviction-policy
-# comparison (LRU vs segmented hot-set hit rate under a flooding scan) into
+# Seed the perf trajectory: parallel-exec, engine-overhead (ns/event and
+# allocs/op of a compiled plan over an all-hit pool) and buffer-pool
+# benchmarks as JSON (op, ns/op, hit rate) into BENCH_pool.json, the
+# eviction-policy comparison (LRU vs segmented hot-set hit rate under a
+# flooding scan) into
 # BENCH_cache.json, the sharded-vs-single-directory parallel-read benchmark
 # into BENCH_shard.json, the replication benchmarks (k-way write
 # amplification, healthy vs degraded-fallback read latency) into
@@ -51,6 +53,7 @@ bench:
 # Each step runs separately so a failing benchmark fails the target.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelExec' -benchtime 3x . > .bench-exec.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkExecOverhead' -benchmem ./internal/exec >> .bench-exec.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPool' -benchmem ./internal/buffer > .bench-pool.txt
 	cat .bench-exec.txt .bench-pool.txt | $(GO) run ./cmd/benchjson -out BENCH_pool.json
 	$(GO) test -run '^$$' -bench 'BenchmarkCachePolicy' -benchmem ./internal/buffer > .bench-cache.txt

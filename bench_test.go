@@ -233,9 +233,8 @@ func BenchmarkStorageFormats(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExec compares the sequential interpreter against the
-// pipelined parallel engine on the two-multiplication workload (C = A·B;
-// E = A·D) in two regimes. "io-bound" simulates the paper's slow device
+// BenchmarkParallelExec compares one, two and four engine workers on the
+// two-multiplication workload (C = A·B; E = A·D) in two regimes. "io-bound" simulates the paper's slow device
 // with a per-request latency, the regime RIOTShare targets: the prefetcher
 // overlaps block reads with compute and with each other, so wall clock
 // drops sharply with workers while logical I/O volumes stay identical.
@@ -273,7 +272,7 @@ func BenchmarkParallelExec(b *testing.B) {
 		if _, err := bench.FillInputs(p, store, 1); err != nil {
 			b.Fatal(err)
 		}
-		var seq riotshare.ExecResult
+		var one riotshare.ExecResult
 		for _, workers := range []int{1, 2, 4} {
 			workers := workers
 			b.Run(fmt.Sprintf("%s/workers=%d", regime.name, workers), func(b *testing.B) {
@@ -284,12 +283,12 @@ func BenchmarkParallelExec(b *testing.B) {
 						b.Fatal(err)
 					}
 					if workers == 1 {
-						seq = r
-					} else if seq.ReadBytes > 0 &&
-						(r.ReadBytes != seq.ReadBytes || r.WriteBytes != seq.WriteBytes ||
-							r.ReadReqs != seq.ReadReqs || r.WriteReqs != seq.WriteReqs ||
-							r.PeakMemoryBytes != seq.PeakMemoryBytes) {
-						b.Fatalf("workers=%d: logical accounting diverged from sequential", workers)
+						one = r
+					} else if one.ReadBytes > 0 &&
+						(r.ReadBytes != one.ReadBytes || r.WriteBytes != one.WriteBytes ||
+							r.ReadReqs != one.ReadReqs || r.WriteReqs != one.WriteReqs ||
+							r.PeakMemoryBytes != one.PeakMemoryBytes) {
+						b.Fatalf("workers=%d: logical accounting diverged from one worker", workers)
 					}
 				}
 			})

@@ -86,7 +86,7 @@ func serve(fs *flag.FlagSet, args []string) error {
 		policy   = fs.String("policy", "lru", "pool replacement policy: lru or segmented (scan-resistant)")
 		maxConc  = fs.Int("max-concurrent", 2, "max concurrently executing queries (K)")
 		memMB    = fs.Int64("mem-mb", 0, "global cap on combined plan peak memory in MB (0 = unlimited)")
-		workers  = fs.Int("workers", 1, "default kernel workers per query (1 = sequential engine)")
+		workers  = fs.Int("workers", 1, "default kernel workers per query")
 		prefetch = fs.Int("prefetch", 0, "default I/O prefetch window per query (0 = 2x workers)")
 		seed     = fs.Int64("seed", 1, "synthetic input data seed")
 		full     = fs.Bool("full", false, "full plan-space search for linreg (minutes)")

@@ -28,9 +28,9 @@ type Options struct {
 	DataDir string
 	// Seed for synthetic input data.
 	Seed int64
-	// Workers and PrefetchDepth select the pipelined parallel engine for
-	// physical runs (Workers <= 1 keeps the sequential interpreter);
-	// measured logical volumes are identical either way.
+	// Workers and PrefetchDepth configure the engine for physical runs
+	// (concurrent kernel workers, <= 1 runs one; the prefetch window);
+	// measured logical volumes are identical for every setting.
 	Workers       int
 	PrefetchDepth int
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // BlockAccess is one block touched by one event, resolved to concrete
-// block coordinates under the timeline's parameter binding. It is the unit
-// the pipelined executor reasons about: dependence edges between events are
-// derived from intersecting read/write block sets, and the prefetcher walks
-// the DoIO reads ahead of execution.
+// block coordinates under the timeline's parameter binding. exec.Compile
+// derives the dependence edges between events from intersecting
+// read/write block sets and the prefetch walk from the DoIO reads.
 type BlockAccess struct {
 	// Acc indexes Events[i].St.Accesses.
 	Acc    int
@@ -44,10 +43,10 @@ func (tl *Timeline) AccessSets() [][]BlockAccess {
 }
 
 // HoldInterval is a maximal span of events during which one block stays
-// buffered. It is the static form of the sequential engine's runtime hold
-// bookkeeping: the block enters the buffer when the event at Start
-// completes and leaves it after the event at End completes, so events in
-// (Start, End] observe it as memory-resident.
+// buffered. It is the static form of the timeline's hold semantics: the
+// block enters the buffer when the event at Start completes and leaves it
+// after the event at End completes, so events in (Start, End] observe it
+// as memory-resident.
 type HoldInterval struct {
 	Array string
 	R, C  int64
@@ -57,11 +56,11 @@ type HoldInterval struct {
 }
 
 // HoldIntervals merges the timeline's holds per block into maximal
-// intervals, mirroring the sequential engine exactly: a hold activating at
-// or before the current merged end extends it (activation happens at the
-// top of its start event, expiry at the bottom of the end event, so
-// Start2 <= End1 chains them), while a later hold opens a new interval.
-// Intervals are returned sorted by (Key, Start).
+// intervals: a hold activating at or before the current merged end
+// extends it (activation happens at the top of its start event, expiry at
+// the bottom of the end event, so Start2 <= End1 chains them), while a
+// later hold opens a new interval. Intervals are returned sorted by
+// (Key, Start).
 func (tl *Timeline) HoldIntervals() []HoldInterval {
 	byKey := make(map[string][]Hold)
 	for _, h := range tl.Holds {

@@ -1,22 +1,21 @@
-// Package exec physically executes lowered plans (timelines): it walks the
-// scheduled statement instances in order, performs block I/O through the
-// storage manager under the plan's per-access actions, keeps shared blocks
-// buffered exactly for their hold intervals (the paper's "RIOTShare injects
-// additional code to ensure that all array block accesses are fulfilled
-// either by blocks already buffered in memory or by I/O", §5.5), runs the
-// in-core kernels on real data, and accounts logical I/O volumes and peak
-// memory. Execution validates the cost model: measured volumes must equal
-// predicted volumes byte for byte.
+// Package exec physically executes lowered plans (timelines). Compile turns
+// a timeline into an immutable Plan once; Engine.Exec runs it: statement
+// instances execute on a pool of kernel workers in dependence order,
+// performing block I/O through the storage backend under the plan's
+// per-access actions and keeping shared blocks buffered exactly for their
+// hold intervals (the paper's "RIOTShare injects additional code to ensure
+// that all array block accesses are fulfilled either by blocks already
+// buffered in memory or by I/O", §5.5). Logical I/O volumes and peak memory
+// are the cost model's; the package's tests replay the paper's sequential
+// interpreter as an oracle and check that its measured volumes equal that
+// prediction byte for byte.
 package exec
 
 import (
-	"fmt"
 	"time"
 
-	"riotshare/internal/blas"
 	"riotshare/internal/codegen"
 	"riotshare/internal/disk"
-	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
 
@@ -38,8 +37,8 @@ type Result struct {
 	// PrefetchIssued counts prefetchable block reads the async
 	// prefetcher issued ahead of use; PrefetchInline counts the ones a
 	// consumer reached first and claimed inline (prefetch arrived too
-	// late). Both are zero for sequential runs; PrefetchInline stays
-	// zero in pool mode, where the pool coalesces the in-flight read.
+	// late). PrefetchInline stays zero in pool mode, where the pool
+	// coalesces the in-flight read.
 	PrefetchIssued, PrefetchInline int64
 }
 
@@ -56,9 +55,9 @@ func (r *Result) addStageTime(stage string, d time.Duration) {
 type Engine struct {
 	Store storage.Backend
 	Model disk.Model
-	// MemCapBytes, when nonzero, makes execution fail if the buffered
-	// working set ever exceeds the cap (the optimizer must have chosen a
-	// plan that fits, §4.2).
+	// MemCapBytes, when nonzero, makes execution fail, before any I/O, if
+	// the plan's buffered working set peaks above the cap (the optimizer
+	// must have chosen a plan that fits, §4.2).
 	MemCapBytes int64
 	// Pool, when non-nil, routes every physical block read and write
 	// through a sharing-aware buffer pool instead of raw storage, so
@@ -78,270 +77,17 @@ type Engine struct {
 	OnBlockWritten func(array string, r, c int64)
 }
 
-// buffered is one memory-resident block.
-type buffered struct {
-	blk   *blas.Matrix
-	bytes int64
-}
-
-// Run executes the timeline.
+// Run compiles the timeline and executes it with one worker.
 func (e *Engine) Run(tl *codegen.Timeline) (Result, error) {
-	var res Result
-	p := tl.Prog
-
-	var finalize [][]blockRef
-	if e.OnBlockWritten != nil {
-		finalize = finalWrites(tl)
-	}
-
-	// Pool pins owned by this run: one per block acquired at each event,
-	// reduced to a single hold-scoped pin while the block's hold interval
-	// is active, released when it expires (and unconditionally on exit).
-	pins := newPinSet(e.Pool)
-	defer pins.releaseAll()
-
-	// holdsUntil[blockKey] = latest event index through which the block must
-	// stay buffered (merged over the plan's hold intervals), indexed as the
-	// execution reaches each hold's start.
-	type holdIv struct{ start, end int }
-	holdsByStart := make(map[int][]codegen.Hold)
-	for _, h := range tl.Holds {
-		holdsByStart[h.StartEvent] = append(holdsByStart[h.StartEvent], h)
-	}
-	holdEnd := make(map[string]int) // active holds: block key -> max end event
-
-	buf := make(map[string]buffered)
-	bufBytes := int64(0)
-
-	account := func(peakExtra int64) error {
-		if bufBytes+peakExtra > res.PeakMemoryBytes {
-			res.PeakMemoryBytes = bufBytes + peakExtra
-		}
-		if e.MemCapBytes > 0 && bufBytes+peakExtra > e.MemCapBytes {
-			return fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", bufBytes+peakExtra, e.MemCapBytes)
-		}
-		return nil
-	}
-
-	for i, ev := range tl.Events {
-		st := ev.St
-		actions := tl.Actions[i]
-		// Activate holds starting here (they may refer to blocks acquired at
-		// this very event).
-		for _, h := range holdsByStart[i] {
-			key := codegen.BlockKey(h.Array, h.R, h.C)
-			if h.EndEvent > holdEnd[key] {
-				holdEnd[key] = h.EndEvent
-			}
-		}
-
-		// Acquire all input blocks plus the write target.
-		local := make(map[string]*blas.Matrix) // blocks live for this event
-		localBytes := int64(0)
-		var kernelIn []*blas.Matrix // active read operands in access order
-		var outBlk *blas.Matrix
-		var writeAcc *prog.Access
-		var writeAction codegen.AccessAction
-		var accRead *blas.Matrix // accumulator read operand, nil when inactive
-
-		for ai := range st.Accesses {
-			ac := &st.Accesses[ai]
-			action := actions[ai]
-			if action == codegen.Inactive {
-				if ac.Type == prog.Read && isAccumulatorRead(st, ai) {
-					accRead = nil
-				}
-				continue
-			}
-			arr := p.Arrays[ac.Array]
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(ac.Array, r, c)
-
-			if ac.Type == prog.Read {
-				blk, held := buf[key]
-				var m *blas.Matrix
-				switch {
-				case action == codegen.FromMemory:
-					if !held {
-						if lm, ok := local[key]; ok {
-							m = lm
-						} else {
-							return res, fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-								st.Name, ev.X, key)
-						}
-					} else {
-						m = blk.blk
-					}
-				case action == codegen.DoIO:
-					var err error
-					var pinned bool
-					m, pinned, err = e.readThrough(ac.Array, r, c)
-					if err != nil {
-						return res, err
-					}
-					if pinned {
-						pins.add(key, ac.Array, r, c)
-					}
-					res.ReadBytes += arr.LogicalBlockBytes
-					res.ReadReqs++
-				}
-				if _, dup := local[key]; !dup {
-					local[key] = m
-					if !held {
-						localBytes += arr.LogicalBlockBytes
-					}
-				}
-				if isAccumulatorRead(st, ai) {
-					accRead = m
-				} else {
-					kernelIn = append(kernelIn, m)
-				}
-				continue
-			}
-			// Write access: the output block materializes in memory.
-			writeAcc = ac
-			writeAction = action
-			if b, held := buf[key]; held {
-				outBlk = b.blk
-			} else {
-				outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-				if _, dup := local[key]; !dup {
-					localBytes += arr.LogicalBlockBytes
-				}
-			}
-			local[key] = outBlk
-		}
-		if err := account(localBytes); err != nil {
-			return res, err
-		}
-
-		// Run the kernel on real data.
-		t0 := time.Now()
-		if err := RunKernel(st, kernelIn, accRead, outBlk); err != nil {
-			return res, fmt.Errorf("exec: %s%v: %w", st.Name, ev.X, err)
-		}
-		kd := time.Since(t0)
-		res.CPUTime += kd
-		res.addStageTime(st.Name, kd)
-
-		// Write-back.
-		if writeAcc != nil && writeAction == codegen.DoIO {
-			arr := p.Arrays[writeAcc.Array]
-			r, c := writeAcc.BlockAt(ev.X, tl.Params)
-			pinned, err := e.writeThrough(writeAcc.Array, r, c, outBlk)
-			if err != nil {
-				return res, err
-			}
-			if pinned {
-				pins.add(codegen.BlockKey(writeAcc.Array, r, c), writeAcc.Array, r, c)
-			}
-			res.WriteBytes += arr.LogicalBlockBytes
-			res.WriteReqs++
-		}
-
-		// Retain blocks with active holds; release everything else.
-		for key, m := range local {
-			end, heldNow := holdEnd[key]
-			_, already := buf[key]
-			switch {
-			case heldNow && end > i && !already:
-				buf[key] = buffered{blk: m, bytes: blockBytesOf(p, key, st, ev, m)}
-				bufBytes += buf[key].bytes
-			case heldNow && end > i && already:
-				buf[key] = buffered{blk: m, bytes: buf[key].bytes}
-			}
-		}
-		// Pool pins follow the holds: blocks acquired this event keep one
-		// pin while their hold extends past it, none otherwise.
-		for key := range local {
-			keep := 0
-			if end, heldNow := holdEnd[key]; heldNow && end > i {
-				keep = 1
-			}
-			pins.drop(key, keep)
-		}
-		// Expire holds ending at this event.
-		for key, end := range holdEnd {
-			if end <= i {
-				if b, ok := buf[key]; ok {
-					bufBytes -= b.bytes
-					delete(buf, key)
-				}
-				delete(holdEnd, key)
-				pins.drop(key, 0)
-			}
-		}
-
-		// Announce blocks whose final physical write was this event.
-		if finalize != nil {
-			for _, br := range finalize[i] {
-				e.OnBlockWritten(br.array, br.r, br.c)
-			}
-		}
-	}
-	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
-	return res, nil
+	return e.RunOptions(tl, Options{})
 }
 
-// blockRef names one block of one array.
-type blockRef struct {
-	array string
-	r, c  int64
-}
-
-// finalWrites maps each event index to the blocks whose final write the
-// event performs and persists (the last write access of the block across
-// the whole timeline, with action DoIO — through the pool that is a
-// deferred dirty install, directly it is the disk write itself). After
-// such an event completes, the block's value is final and readable; both
-// engines drive Engine.OnBlockWritten off these lists. Blocks whose last
-// write stays memory-only are omitted.
-func finalWrites(tl *codegen.Timeline) [][]blockRef {
-	type lastWrite struct {
-		event int
-		doIO  bool
-		ref   blockRef
+// RunOptions compiles the timeline and executes it under opt. Callers
+// that run one timeline repeatedly should Compile it once and call Exec.
+func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
+	cp, err := Compile(tl)
+	if err != nil {
+		return Result{}, err
 	}
-	last := make(map[string]lastWrite)
-	for i, set := range tl.AccessSets() {
-		for _, ba := range set {
-			if ba.Type != prog.Write || ba.Action == codegen.Inactive {
-				continue
-			}
-			last[ba.Key] = lastWrite{
-				event: i,
-				doIO:  ba.Action == codegen.DoIO,
-				ref:   blockRef{array: ba.Array, r: ba.R, c: ba.C},
-			}
-		}
-	}
-	out := make([][]blockRef, len(tl.Events))
-	for _, lw := range last {
-		if lw.doIO {
-			out[lw.event] = append(out[lw.event], lw.ref)
-		}
-	}
-	return out
-}
-
-// blockBytesOf resolves the logical byte size of a block key by searching
-// the event's arrays (the key embeds the array name before '[').
-func blockBytesOf(p *prog.Program, key string, st *prog.Statement, ev codegen.Event, m *blas.Matrix) int64 {
-	for name, arr := range p.Arrays {
-		if len(key) > len(name) && key[:len(name)] == name && key[len(name)] == '[' {
-			return arr.LogicalBlockBytes
-		}
-	}
-	return int64(m.Rows) * int64(m.Cols) * 8
-}
-
-// isAccumulatorRead reports whether access ai is a read of the same array
-// the statement writes (the "+=" self-operand).
-func isAccumulatorRead(st *prog.Statement, ai int) bool {
-	ac := &st.Accesses[ai]
-	if ac.Type != prog.Read {
-		return false
-	}
-	w := st.WriteAccess()
-	return w != nil && w.Array == ac.Array
+	return e.Exec(cp, opt)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"riotshare/internal/blas"
@@ -277,8 +278,9 @@ func TestTransientDeadWriteElision(t *testing.T) {
 	}
 }
 
-// FromMemory without a buffered block is an engine invariant violation and
-// must error, not silently read.
+// FromMemory without a buffered block is an invariant violation: Compile
+// must reject the timeline, so the run errors before any block is read or
+// written.
 func TestFromMemoryInvariant(t *testing.T) {
 	p := addMulProgram(2, 2, 1)
 	res, err := core.Optimize(p, core.Options{BindParams: true})
@@ -319,8 +321,12 @@ func TestFromMemoryInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillInputs(t, p, m, 1)
+	before := m.Stats()
 	eng := &Engine{Store: m, Model: disk.PaperModel()}
-	if _, err := eng.Run(&bad); err == nil {
-		t.Fatal("corrupted timeline should fail the buffered-block invariant")
+	if _, err := eng.Run(&bad); err == nil || !strings.Contains(err.Error(), "not buffered") {
+		t.Fatalf("corrupted timeline: err = %v, want the buffered-block invariant error", err)
+	}
+	if after := m.Stats(); after != before {
+		t.Fatalf("storage saw I/O before the timeline was rejected: %+v -> %+v", before, after)
 	}
 }

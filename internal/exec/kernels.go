@@ -29,8 +29,8 @@ func RunKernel(st *prog.Statement, in []*blas.Matrix, accRead, dst *blas.Matrix)
 			copy(dst.Data, accRead.Data)
 		}
 	}
-	parts := strings.Split(st.Kernel, ":")
-	switch parts[0] {
+	name, flags, more := strings.Cut(st.Kernel, ":")
+	switch name {
 	case "add":
 		if len(in) != 2 {
 			return fmt.Errorf("add wants 2 operands, got %d", len(in))
@@ -43,7 +43,9 @@ func RunKernel(st *prog.Statement, in []*blas.Matrix, accRead, dst *blas.Matrix)
 		blas.Sub(dst, in[0], in[1])
 	case "gemm":
 		ta, tb, self := false, false, false
-		for _, f := range parts[1:] {
+		for more {
+			var f string
+			f, flags, more = strings.Cut(flags, ":")
 			switch f {
 			case "ta":
 				ta = true

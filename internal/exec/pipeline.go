@@ -1,20 +1,17 @@
-// pipeline.go turns the sequential timeline interpreter into a pipelined
-// parallel engine. The timeline stays the single source of truth: a
-// dependence graph over its events — derived from per-event block access
-// sets (memory dataflow inside hold intervals, RAW/WAR/WAW on disk state)
-// — lets independent in-core kernels run on a worker pool while an
-// asynchronous prefetcher walks the timeline ahead of execution and issues
-// block reads early.
+// pipeline.go is the execution engine: it runs a compiled Plan on a pool
+// of kernel workers while an asynchronous prefetcher walks the plan ahead
+// of execution and issues block reads early. The dependence DAG (memory
+// dataflow inside hold intervals, RAW/WAR/WAW on disk state) decides what
+// may run concurrently; workers take ready events in the order they
+// became ready.
 //
-// Two invariants make the parallel engine a validation of the paper rather
-// than a departure from it:
+// Two invariants make the engine a validation of the paper rather than a
+// departure from it:
 //
-//  1. Logical I/O accounting is byte-for-byte equal to the cost model's
-//     prediction regardless of worker count. Volumes are the plan's, not an
-//     artifact of interleaving, so Result is computed by replaying the
-//     timeline's actions with sequential semantics (accountRun) — exactly
-//     what Engine.Run measures — and the physical run only carries them
-//     out.
+//  1. Logical I/O accounting is byte-for-byte the cost model's prediction
+//     regardless of worker count: Result's volumes and peak come from the
+//     compiled plan (cost.Evaluate), and the physical run only carries
+//     them out.
 //  2. Numerics are bit-identical to sequential execution. Every kernel
 //     consumes the same operand values in the same order: accumulator
 //     chains are serialized by write-write edges, shared buffers by
@@ -23,10 +20,12 @@
 //
 // PeakMemoryBytes therefore reports the plan's logical working-set peak
 // (what the optimizer bounded with the memory cap, §4.2). The physical
-// resident set of a parallel run can transiently exceed it by the worker
-// pool's per-event operand blocks plus the prefetch window; the prefetch
-// window is bounded by the cap's spare headroom (cap − logical peak) and
-// never issues a read past an unexecuted write of the same block.
+// resident set can exceed it: events run in dependence order, not
+// timeline order, so more hold intervals may be open at once than the
+// timeline ever has, and the worker pool's per-event operand blocks and
+// the prefetch window come on top. The prefetch window is bounded by the
+// cap's spare headroom (cap − logical peak) and never issues a read past
+// an unexecuted write of the same block.
 package exec
 
 import (
@@ -36,14 +35,12 @@ import (
 	"time"
 
 	"riotshare/internal/blas"
-	"riotshare/internal/codegen"
-	"riotshare/internal/prog"
 )
 
-// Options configures pipelined parallel execution.
+// Options configures execution.
 type Options struct {
-	// Workers is the number of concurrent kernel workers; values <= 1 run
-	// the sequential interpreter.
+	// Workers is the number of concurrent kernel workers (values <= 1 run
+	// one).
 	Workers int
 	// PrefetchDepth caps the number of prefetched-but-unconsumed blocks
 	// (<= 0 selects 2*Workers). A nonzero Engine.MemCapBytes additionally
@@ -56,430 +53,202 @@ type Options struct {
 	Pool BlockPool
 }
 
-// RunOptions executes the timeline with the given parallelism. Workers <= 1
-// is exactly Engine.Run; otherwise the pipelined engine runs and returns an
-// identical Result (modulo CPUTime, which is measured wall time inside
-// kernels either way).
-func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
-	eng := *e
-	if opt.Pool != nil {
-		eng.Pool = opt.Pool
-	}
-	if opt.Workers <= 1 {
-		return eng.Run(tl)
-	}
-	return eng.runParallel(tl, opt)
-}
-
-// accountRun replays the timeline's actions with sequential semantics and
-// returns the logical Result the sequential interpreter would measure:
-// I/O volumes and request counts summed over DoIO actions, and the peak
-// buffered working set under the hold bookkeeping — including the memory
-// cap check, which must fail for a plan the optimizer would have rejected.
-// It is a transliteration of Engine.Run minus the physical I/O and
-// kernels; the pipelined engine derives its accounting here so that worker
-// interleaving can never distort the paper-scale volumes.
-func accountRun(tl *codegen.Timeline, memCapBytes int64) (Result, error) {
-	var res Result
-	p := tl.Prog
-
-	holdsByStart := make(map[int][]codegen.Hold)
-	for _, h := range tl.Holds {
-		holdsByStart[h.StartEvent] = append(holdsByStart[h.StartEvent], h)
-	}
-	holdEnd := make(map[string]int)
-	bufBytesBy := make(map[string]int64) // buffered keys -> logical bytes
-	bufBytes := int64(0)
-
-	account := func(extra int64) error {
-		if bufBytes+extra > res.PeakMemoryBytes {
-			res.PeakMemoryBytes = bufBytes + extra
-		}
-		if memCapBytes > 0 && bufBytes+extra > memCapBytes {
-			return fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", bufBytes+extra, memCapBytes)
-		}
-		return nil
-	}
-
-	for i, ev := range tl.Events {
-		st := ev.St
-		actions := tl.Actions[i]
-		for _, h := range holdsByStart[i] {
-			key := codegen.BlockKey(h.Array, h.R, h.C)
-			if h.EndEvent > holdEnd[key] {
-				holdEnd[key] = h.EndEvent
-			}
-		}
-
-		local := make(map[string]bool)
-		localBytes := int64(0)
-		var writeArr *prog.Array
-		var writeAction codegen.AccessAction
-		haveWrite := false
-
-		for ai := range st.Accesses {
-			ac := &st.Accesses[ai]
-			action := actions[ai]
-			if action == codegen.Inactive {
-				continue
-			}
-			arr := p.Arrays[ac.Array]
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(ac.Array, r, c)
-			_, held := bufBytesBy[key]
-
-			if ac.Type == prog.Read {
-				if action == codegen.FromMemory && !held && !local[key] {
-					return res, fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-						st.Name, ev.X, key)
-				}
-				if action == codegen.DoIO {
-					res.ReadBytes += arr.LogicalBlockBytes
-					res.ReadReqs++
-				}
-				if !local[key] {
-					local[key] = true
-					if !held {
-						localBytes += arr.LogicalBlockBytes
-					}
-				}
-				continue
-			}
-			// Write access: the output block materializes in memory.
-			writeArr, writeAction, haveWrite = arr, action, true
-			if !held && !local[key] {
-				localBytes += arr.LogicalBlockBytes
-			}
-			local[key] = true
-		}
-		if err := account(localBytes); err != nil {
-			return res, err
-		}
-		if haveWrite && writeAction == codegen.DoIO {
-			res.WriteBytes += writeArr.LogicalBlockBytes
-			res.WriteReqs++
-		}
-
-		// Retain blocks with active holds; expire holds ending here.
-		for key := range local {
-			if end, heldNow := holdEnd[key]; heldNow && end > i {
-				if _, already := bufBytesBy[key]; !already {
-					b := keyLogicalBytes(p, key)
-					bufBytesBy[key] = b
-					bufBytes += b
-				}
-			}
-		}
-		for key, end := range holdEnd {
-			if end <= i {
-				if b, ok := bufBytesBy[key]; ok {
-					bufBytes -= b
-					delete(bufBytesBy, key)
-				}
-				delete(holdEnd, key)
-			}
-		}
-	}
-	return res, nil
-}
-
-// keyLogicalBytes resolves a block key's logical byte size via its array
-// name prefix (the key embeds the array name before '[').
-func keyLogicalBytes(p *prog.Program, key string) int64 {
-	for name, arr := range p.Arrays {
-		if len(key) > len(name) && key[:len(name)] == name && key[len(name)] == '[' {
-			return arr.LogicalBlockBytes
-		}
-	}
-	return 0
-}
-
-// ivState is one merged hold interval plus its runtime refcount: the
-// buffered block is released when every event that touches it inside the
-// interval has completed (the parallel form of "expire holds ending at
-// this event").
-type ivState struct {
-	iv   codegen.HoldInterval
-	refs int32
-}
-
-// pipeline is the static schedule the parallel engine executes: access
-// sets, the event dependence DAG, hold-interval coverage, and the prefetch
-// walk.
-type pipeline struct {
-	sets  [][]codegen.BlockAccess
-	succs [][]int
-	indeg []int32
-	// cover[i][key] is the merged hold interval covering event i for key
-	// (Start <= i <= End); nil map when event i covers nothing.
-	cover []map[string]*ivState
-	// release[i] lists intervals in which event i is an accessor.
-	release [][]*ivState
-	// prefetch is the ordered walk of coalesced prefetchable reads;
-	// consumers counts the DoIO reads each entry must serve.
-	prefetch  []pfReq
-	consumers map[string]int
-	maxBlock  int64 // largest prefetchable block, for the byte budget
-	// firstDiskWrite[key] is the earliest event writing the block to disk;
-	// reads at later events must bypass the prefetch cache (stale state).
-	firstDiskWrite map[string]int
-}
-
-// pfReq identifies one block the prefetcher should read ahead.
-type pfReq struct {
-	key   string
-	array string
-	r, c  int64
-}
-
-// buildPipeline derives the dependence DAG from the timeline's block
-// access sets. Three edge families preserve sequential semantics:
-//
-//   - memory dataflow inside each merged hold interval: the interval's
-//     start event produces the buffered block; readers depend on the
-//     latest producer, writers on the latest producer plus every reader
-//     since (so in-place accumulation never races a consumer);
-//   - buffer-slot reuse between consecutive intervals of the same block:
-//     the next interval's start waits for every accessor of the previous
-//     one, so release precedes re-insertion;
-//   - disk state per block: DoIO write → later DoIO reads (RAW), DoIO
-//     reads → next DoIO write (WAR), DoIO write → DoIO write (WAW).
-//
-// All edges point forward in timeline order, so the graph is a DAG.
-func buildPipeline(tl *codegen.Timeline) (*pipeline, error) {
-	n := len(tl.Events)
-	pp := &pipeline{
-		sets:      tl.AccessSets(),
-		succs:     make([][]int, n),
-		indeg:     make([]int32, n),
-		cover:     make([]map[string]*ivState, n),
-		release:   make([][]*ivState, n),
-		consumers: make(map[string]int),
-	}
-	seen := make(map[int64]bool)
-	addEdge := func(from, to int) error {
-		if from == to {
-			return nil // intra-event ordering is program order
-		}
-		if from > to {
-			return fmt.Errorf("exec: dependence edge %d->%d runs against the timeline", from, to)
-		}
-		id := int64(from)<<32 | int64(to)
-		if seen[id] {
-			return nil
-		}
-		seen[id] = true
-		pp.succs[from] = append(pp.succs[from], to)
-		pp.indeg[to]++
-		return nil
-	}
-
-	// Per-event key → (reads, writes) flags for interval accessor scans.
-	type rw struct{ read, write bool }
-	touch := make([]map[string]rw, n)
-	for i, set := range pp.sets {
-		touch[i] = make(map[string]rw, len(set))
-		for _, ba := range set {
-			t := touch[i][ba.Key]
-			if ba.Type == prog.Read {
-				t.read = true
-			} else {
-				t.write = true
-			}
-			touch[i][ba.Key] = t
-		}
-	}
-
-	// Memory dataflow within and between hold intervals.
-	intervals := tl.HoldIntervals()
-	var prev *codegen.HoldInterval
-	var prevAccessors []int
-	for idx := range intervals {
-		iv := intervals[idx]
-		st := &ivState{iv: iv}
-		var accessors []int
-		for i := iv.Start; i <= iv.End; i++ {
-			if _, ok := touch[i][iv.Key]; !ok {
-				continue
-			}
-			accessors = append(accessors, i)
-			if pp.cover[i] == nil {
-				pp.cover[i] = make(map[string]*ivState)
-			}
-			pp.cover[i][iv.Key] = st
-			pp.release[i] = append(pp.release[i], st)
-		}
-		if len(accessors) == 0 || accessors[0] != iv.Start {
-			return nil, fmt.Errorf("exec: hold interval %s[%d..%d] start event does not access the block",
-				iv.Key, iv.Start, iv.End)
-		}
-		st.refs = int32(len(accessors))
-
-		producer := iv.Start
-		var readers []int
-		for _, i := range accessors[1:] {
-			if touch[i][iv.Key].write {
-				if err := addEdge(producer, i); err != nil {
-					return nil, err
-				}
-				for _, r := range readers {
-					if err := addEdge(r, i); err != nil {
-						return nil, err
-					}
-				}
-				producer, readers = i, readers[:0]
-				continue
-			}
-			if err := addEdge(producer, i); err != nil {
-				return nil, err
-			}
-			readers = append(readers, i)
-		}
-
-		// Buffer-slot reuse: the previous interval of this block must fully
-		// release before the next one buffers.
-		if prev != nil && prev.Key == iv.Key {
-			for _, a := range prevAccessors {
-				if err := addEdge(a, iv.Start); err != nil {
-					return nil, err
-				}
-			}
-		}
-		prev, prevAccessors = &intervals[idx], accessors
-	}
-
-	// Disk-state dependences per block over DoIO actions.
-	type diskAcc struct {
-		event       int
-		read, write bool
-	}
-	diskByKey := make(map[string][]diskAcc)
-	for i, set := range pp.sets {
-		for _, ba := range set {
-			if ba.Action != codegen.DoIO {
-				continue
-			}
-			accs := diskByKey[ba.Key]
-			if len(accs) > 0 && accs[len(accs)-1].event == i {
-				if ba.Type == prog.Read {
-					accs[len(accs)-1].read = true
-				} else {
-					accs[len(accs)-1].write = true
-				}
-			} else {
-				accs = append(accs, diskAcc{event: i, read: ba.Type == prog.Read, write: ba.Type == prog.Write})
-			}
-			diskByKey[ba.Key] = accs
-		}
-	}
-	firstDiskWrite := make(map[string]int)
-	pp.firstDiskWrite = firstDiskWrite
-	for key, accs := range diskByKey {
-		lastWriter := -1
-		var readersSince []int
-		for _, a := range accs {
-			if a.read || a.write {
-				if lastWriter >= 0 {
-					if err := addEdge(lastWriter, a.event); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if a.write {
-				for _, r := range readersSince {
-					if err := addEdge(r, a.event); err != nil {
-						return nil, err
-					}
-				}
-				lastWriter, readersSince = a.event, readersSince[:0]
-				if _, ok := firstDiskWrite[key]; !ok {
-					firstDiskWrite[key] = a.event
-				}
-			}
-			if a.read {
-				readersSince = append(readersSince, a.event)
-			}
-		}
-	}
-
-	// Prefetch walk: a DoIO read is prefetchable when no earlier event
-	// writes the block to disk — then all prefetchable reads of one block
-	// see identical disk state and can share a single early read. Reads
-	// past a disk write are left to the executor, whose RAW edge orders
-	// them.
-	inWalk := make(map[string]bool)
-	for i, set := range pp.sets {
-		for _, ba := range set {
-			if ba.Type != prog.Read || ba.Action != codegen.DoIO {
-				continue
-			}
-			if w, ok := firstDiskWrite[ba.Key]; ok && w < i {
-				continue
-			}
-			pp.consumers[ba.Key]++
-			if !inWalk[ba.Key] {
-				inWalk[ba.Key] = true
-				pp.prefetch = append(pp.prefetch, pfReq{key: ba.Key, array: ba.Array, r: ba.R, c: ba.C})
-				if b := tl.Prog.Arrays[ba.Array].LogicalBlockBytes; b > pp.maxBlock {
-					pp.maxBlock = b
-				}
-			}
-		}
-	}
-	return pp, nil
-}
-
-// pfEntry is one coalesced prefetchable block read: issued either by the
-// prefetcher (ahead of execution, holding a window slot) or claimed inline
-// by the first consumer to need it, never both.
+// pfEntry is the per-run state of one prefetch-walk entry: a coalesced
+// block read issued either by the prefetcher (ahead of execution, holding
+// a window slot) or claimed inline by the first consumer to need it, never
+// both. refs reaching zero retires the entry.
 type pfEntry struct {
-	refs     int32 // consumers remaining
-	shared   bool  // >1 consumers: hand out clones, keep blk pristine
+	refs     int32 // consumers that have not claimed their read yet
+	unread   int32 // consumers that have not taken blk yet; the last drops it
 	issued   bool
-	slotHeld bool // the prefetcher holds a window slot until fully consumed
-	done     chan struct{}
+	slotHeld bool          // the prefetcher holds a window slot until fully consumed
+	done     chan struct{} // closed when blk/err are set (no-pool runs only)
 	blk      *blas.Matrix
 	err      error
 }
 
-// runState is the shared state of one parallel run.
+// runState is the shared state of one run.
 type runState struct {
 	e  *Engine
-	tl *codegen.Timeline
-	pp *pipeline
+	cp *Plan
 
-	mu  sync.Mutex // guards buf, ivPins and scheduler bookkeeping
-	buf map[string]*blas.Matrix
-	// ivPins holds pool pins owned by active hold intervals (pool mode):
-	// event-local pins transfer here while an interval stays active and
-	// are released when its last accessor completes.
-	ivPins *pinSet
+	// mu guards the scheduler (indeg, ready, next, remaining, stopped) and
+	// the interval state (ivRefs, ivBuf, ivPins).
+	mu    sync.Mutex
+	wake  sync.Cond
+	indeg []int32
+	// ready lists events in the order they became runnable (each exactly
+	// once); ready[next:] are not taken yet.
+	ready     []int32
+	next      int
+	remaining int
+	stopped   bool
+	ivRefs    []int32
+	ivBuf     []*blas.Matrix
+	// ivPins counts pool pins owned by active hold intervals (pool mode):
+	// event pins transfer here while an interval stays active and are
+	// released when its last accessor completes.
+	ivPins []int32
 
-	cacheMu sync.Mutex
-	cache   map[string]*pfEntry
-	slots   chan struct{}
+	pfMu  sync.Mutex
+	pf    []pfEntry
+	slots chan struct{}
 	// pfWG tracks the prefetcher and every read goroutine it spawned;
-	// runParallel joins it so no straggler touches the pool or storage
-	// after the run returns.
+	// Exec joins it so no straggler touches the pool or storage after the
+	// run returns.
 	pfWG sync.WaitGroup
-
-	// finalize[i] lists blocks whose final physical write is event i
-	// (nil when the engine has no OnBlockWritten callback).
-	finalize [][]blockRef
 
 	cancel  chan struct{}
 	failErr error
 	once    sync.Once
 
 	cpuNanos atomic.Int64
-
-	// stageMu guards stageNanos, the per-statement kernel time sums
-	// that become Result.StageTimes. pfIssued/pfInline count prefetch
-	// reads issued ahead of use vs. claimed inline by a consumer.
+	// stageMu guards stageNanos, the per-statement kernel time sums that
+	// become Result.StageTimes. pfIssued/pfInline count prefetch reads
+	// issued ahead of use vs. claimed inline by a consumer.
 	stageMu    sync.Mutex
 	stageNanos map[string]int64
 	pfIssued   atomic.Int64
 	pfInline   atomic.Int64
+}
+
+// worker is one kernel worker's per-event scratch, reused across events.
+type worker struct {
+	pins  []int32 // blocks this event holds one pool pin on, one entry per pin
+	local []localBlock
+	in    []*blas.Matrix
+}
+
+// localBlock is a block materialized at the current event.
+type localBlock struct {
+	block int32
+	m     *blas.Matrix
+}
+
+func (w *worker) lookup(b int32) *blas.Matrix {
+	for _, l := range w.local {
+		if l.block == b {
+			return l.m
+		}
+	}
+	return nil
+}
+
+// Exec runs a compiled plan. Workers <= 1 runs one worker. It fails before
+// any I/O when the engine's memory cap is below the plan's peak. The plan
+// is not modified, so one Plan may run many times, concurrently too.
+func (e *Engine) Exec(cp *Plan, opt Options) (Result, error) {
+	eng := *e
+	if opt.Pool != nil {
+		eng.Pool = opt.Pool
+	}
+	res := cp.logical
+	if eng.MemCapBytes > 0 && res.PeakMemoryBytes > eng.MemCapBytes {
+		return Result{}, fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", res.PeakMemoryBytes, eng.MemCapBytes)
+	}
+	workers := max(opt.Workers, 1)
+	depth := opt.PrefetchDepth
+	if depth <= 0 {
+		depth = 2 * workers
+	}
+	if eng.MemCapBytes > 0 && cp.maxBlock > 0 {
+		// Prefetch only into the cap's headroom above the plan's peak.
+		depth = min(depth, int((eng.MemCapBytes-res.PeakMemoryBytes)/cp.maxBlock))
+	}
+
+	n := len(cp.tl.Events)
+	rs := &runState{
+		e: &eng, cp: cp,
+		indeg:      make([]int32, n),
+		ready:      make([]int32, 0, n),
+		remaining:  n,
+		ivRefs:     append([]int32(nil), cp.ivRefs...),
+		ivBuf:      make([]*blas.Matrix, len(cp.intervals)),
+		pf:         make([]pfEntry, len(cp.prefetch)),
+		slots:      make(chan struct{}, max(depth, 1)),
+		cancel:     make(chan struct{}),
+		stageNanos: make(map[string]int64),
+	}
+	rs.wake.L = &rs.mu
+	if eng.Pool != nil {
+		rs.ivPins = make([]int32, len(cp.intervals))
+		defer rs.releaseIntervalPins()
+	}
+	for k, req := range cp.prefetch {
+		rs.pf[k].refs, rs.pf[k].unread = req.consumers, req.consumers
+	}
+	for _, s := range cp.succs.items {
+		rs.indeg[s]++
+	}
+	for i, d := range rs.indeg {
+		if d == 0 {
+			rs.ready = append(rs.ready, int32(i))
+		}
+	}
+	if depth > 0 && len(cp.prefetch) > 0 {
+		rs.pfWG.Add(1)
+		go rs.prefetcher()
+	}
+
+	// The calling goroutine is the last worker.
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs.work()
+		}()
+	}
+	rs.work()
+	wg.Wait()
+	rs.fail(nil)   // release the prefetcher if it is still walking
+	rs.pfWG.Wait() // join prefetch reads so none outlives the run
+	if rs.failErr != nil {
+		return Result{}, rs.failErr
+	}
+	res.CPUTime = time.Duration(rs.cpuNanos.Load())
+	for stage, ns := range rs.stageNanos {
+		res.addStageTime(stage, time.Duration(ns))
+	}
+	res.PrefetchIssued = rs.pfIssued.Load()
+	res.PrefetchInline = rs.pfInline.Load()
+	res.SimulatedIOSec = eng.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
+	return res, nil
+}
+
+// work runs ready events until every event has completed or the run
+// failed.
+func (rs *runState) work() {
+	var w worker
+	succs := &rs.cp.succs
+	rs.mu.Lock()
+	for {
+		for rs.next == len(rs.ready) && rs.remaining > 0 && !rs.stopped {
+			rs.wake.Wait()
+		}
+		if rs.stopped || rs.remaining == 0 {
+			rs.mu.Unlock()
+			return
+		}
+		i := rs.ready[rs.next]
+		rs.next++
+		rs.mu.Unlock()
+		if err := rs.execEvent(&w, int(i)); err != nil {
+			rs.fail(err)
+			return
+		}
+		rs.mu.Lock()
+		woke := false
+		for _, s := range succs.at(int(i)) {
+			if rs.indeg[s]--; rs.indeg[s] == 0 {
+				rs.ready = append(rs.ready, s)
+				woke = true
+			}
+		}
+		if rs.remaining--; rs.remaining == 0 || woke {
+			rs.wake.Broadcast()
+		}
+	}
 }
 
 // addStageTime accumulates one kernel's wall time under its stage.
@@ -489,229 +258,142 @@ func (rs *runState) addStageTime(stage string, d time.Duration) {
 	rs.stageMu.Unlock()
 }
 
+// fail stops the run with err (nil on normal completion).
 func (rs *runState) fail(err error) {
 	rs.once.Do(func() {
 		rs.failErr = err
 		close(rs.cancel)
+		rs.mu.Lock()
+		rs.stopped = true
+		rs.wake.Broadcast()
+		rs.mu.Unlock()
 	})
 }
 
-// runParallel executes the timeline on a worker pool with I/O prefetch.
-func (e *Engine) runParallel(tl *codegen.Timeline, opt Options) (Result, error) {
-	res, err := accountRun(tl, e.MemCapBytes)
-	if err != nil {
-		return res, err
-	}
-	pp, err := buildPipeline(tl)
-	if err != nil {
-		return res, err
-	}
-
-	depth := opt.PrefetchDepth
-	if depth <= 0 {
-		depth = 2 * opt.Workers
-	}
-	if e.MemCapBytes > 0 && pp.maxBlock > 0 {
-		// Prefetch only into the cap's headroom above the plan's peak.
-		if spare := int((e.MemCapBytes - res.PeakMemoryBytes) / pp.maxBlock); spare < depth {
-			depth = spare
-		}
-	}
-	if depth < 0 {
-		depth = 0
-	}
-
-	rs := &runState{
-		e: e, tl: tl, pp: pp,
-		buf:        make(map[string]*blas.Matrix),
-		ivPins:     newPinSet(e.Pool),
-		cache:      make(map[string]*pfEntry, len(pp.prefetch)),
-		slots:      make(chan struct{}, max(depth, 1)),
-		cancel:     make(chan struct{}),
-		stageNanos: make(map[string]int64),
-	}
-	if e.OnBlockWritten != nil {
-		rs.finalize = finalWrites(tl)
-	}
-	defer rs.ivPins.releaseAll()
-	for _, req := range pp.prefetch {
-		c := pp.consumers[req.key]
-		rs.cache[req.key] = &pfEntry{refs: int32(c), shared: c > 1, done: make(chan struct{})}
-	}
-	if depth > 0 {
-		rs.pfWG.Add(1)
-		go rs.prefetcher()
-	}
-
-	n := len(tl.Events)
-	ready := make(chan int, n)
-	remaining := n
-	for i := 0; i < n; i++ {
-		if pp.indeg[i] == 0 {
-			ready <- i
-		}
-	}
-	if n == 0 {
-		close(ready)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-rs.cancel:
-					return
-				case i, ok := <-ready:
-					if !ok {
-						return
-					}
-					if err := rs.execEvent(i); err != nil {
-						rs.fail(err)
-						return
-					}
-					rs.mu.Lock()
-					for _, s := range pp.succs[i] {
-						if pp.indeg[s]--; pp.indeg[s] == 0 {
-							ready <- s
-						}
-					}
-					if remaining--; remaining == 0 {
-						close(ready)
-					}
-					rs.mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	rs.fail(nil)   // release the prefetcher if it is still walking
-	rs.pfWG.Wait() // join prefetch reads so none outlives the run
-	if rs.failErr != nil {
-		return res, rs.failErr
-	}
-	res.CPUTime = time.Duration(rs.cpuNanos.Load())
-	for stage, ns := range rs.stageNanos {
-		res.addStageTime(stage, time.Duration(ns))
-	}
-	res.PrefetchIssued = rs.pfIssued.Load()
-	res.PrefetchInline = rs.pfInline.Load()
-	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
-	return res, nil
+// unpin releases n pool pins on block b.
+func (rs *runState) unpin(b int32, n int) {
+	array, r, c := rs.cp.coords(b)
+	rs.e.Pool.Unpin(array, r, c, n)
 }
 
-// prefetcher walks the timeline's prefetchable reads in first-use order,
+// releaseEventPins releases the pool pins an event still owns.
+func (rs *runState) releaseEventPins(w *worker) {
+	for _, b := range w.pins {
+		rs.unpin(b, 1)
+	}
+	w.pins = w.pins[:0]
+}
+
+// releaseIntervalPins releases pins held by intervals a failed run never
+// finished.
+func (rs *runState) releaseIntervalPins() {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for iv, n := range rs.ivPins {
+		if n > 0 {
+			rs.unpin(rs.cp.intervals[iv].block, int(n))
+		}
+	}
+}
+
+// prefetcher walks the plan's prefetchable reads in first-use order,
 // issuing each one asynchronously while window slots are available. An
 // entry the executor already claimed inline is skipped.
 func (rs *runState) prefetcher() {
 	defer rs.pfWG.Done()
-	for _, req := range rs.pp.prefetch {
+	pool := rs.e.Pool
+	for k, req := range rs.cp.prefetch {
 		select {
 		case <-rs.cancel:
 			return
 		case rs.slots <- struct{}{}:
 		}
-		rs.cacheMu.Lock()
-		en := rs.cache[req.key]
-		if en == nil || en.issued {
-			// Fully consumed (entry evicted) or claimed inline already.
-			rs.cacheMu.Unlock()
+		rs.pfMu.Lock()
+		en := &rs.pf[k]
+		if en.refs == 0 || en.issued {
+			// Fully consumed or claimed inline already.
+			rs.pfMu.Unlock()
 			<-rs.slots
 			continue
 		}
-		en.issued = true
-		en.slotHeld = true
-		rs.cacheMu.Unlock()
+		en.issued, en.slotHeld = true, true
+		if pool == nil {
+			en.done = make(chan struct{})
+		}
+		rs.pfMu.Unlock()
 		rs.pfIssued.Add(1)
 		rs.pfWG.Add(1)
-		go func(req pfReq, en *pfEntry) {
+		array, r, c := rs.cp.coords(req.block)
+		go func() {
 			defer rs.pfWG.Done()
-			if pool := rs.e.Pool; pool != nil {
+			if pool != nil {
 				// Pool mode: warm the shared pool instead of a private
 				// cache. Consumers acquire their own pinned copies (the
 				// pool coalesces with this in-flight read), so the
 				// prefetcher's pin is released immediately. An error is
 				// left for the consumer's own read to surface.
-				if _, err := pool.Acquire(req.array, req.r, req.c); err == nil {
-					pool.Unpin(req.array, req.r, req.c, 1)
+				if _, err := pool.Acquire(array, r, c); err == nil {
+					pool.Unpin(array, r, c, 1)
 				}
-				close(en.done)
 				return
 			}
-			en.blk, en.err = rs.e.Store.ReadBlock(req.array, req.r, req.c)
+			en.blk, en.err = rs.e.Store.ReadBlock(array, r, c)
 			close(en.done)
-		}(req, en)
+		}()
 	}
 }
 
-// noteConsumed retires one prefetch-window reference for key (pool mode):
-// the pool itself serves and caches the block, so the cache entry only
-// tracks window occupancy. The last consumer evicts the entry and frees
-// the prefetcher's slot.
-func (rs *runState) noteConsumed(key string) {
-	rs.cacheMu.Lock()
-	en := rs.cache[key]
-	if en == nil {
-		rs.cacheMu.Unlock()
-		return
-	}
+// noteConsumed retires one prefetch-window reference (pool mode): the pool
+// itself serves and caches the block, so the entry only tracks window
+// occupancy. The last consumer frees the prefetcher's slot.
+func (rs *runState) noteConsumed(en *pfEntry) {
+	rs.pfMu.Lock()
 	en.refs--
-	last := en.refs == 0
-	if last {
-		delete(rs.cache, key)
-	}
-	slotHeld := en.slotHeld
-	rs.cacheMu.Unlock()
-	if last && slotHeld {
+	release := en.refs == 0 && en.slotHeld
+	rs.pfMu.Unlock()
+	if release {
 		<-rs.slots
 	}
 }
 
-// readBlock serves one DoIO read at event i: from the prefetch cache when
-// the read is prefetchable (claiming the entry inline if the prefetcher
-// has not reached it yet), from storage otherwise — in particular, a read
-// scheduled after a disk write of the same block must bypass the cache,
-// whose entry predates the write. Shared entries hand out clones so a
-// consumer installing its block into the mutable buffer pool cannot
-// corrupt the others. The pinned result reports that the caller owns one
-// pool pin (pool mode only). In pool mode every read — including
+// readBlock serves one DoIO read of block b at event i: from the prefetch
+// entry when the read is prefetchable (claiming the entry inline if the
+// prefetcher has not reached it yet), from storage otherwise — in
+// particular, a read scheduled after a disk write of the same block must
+// bypass the entry, whose read predates the write. Shared entries hand out
+// clones so a consumer installing its block into the mutable buffer pool
+// cannot corrupt the others. The pinned result reports that the caller
+// owns one pool pin (pool mode only). In pool mode every read — including
 // post-disk-write bypass reads — goes through the pool, whose frame always
 // holds the current value (disk writes are deferred write-backs there).
-func (rs *runState) readBlock(i int, array string, r, c int64, key string) (*blas.Matrix, bool, error) {
+func (rs *runState) readBlock(i int, b int32) (*blas.Matrix, bool, error) {
+	bi := &rs.cp.blocks[b]
+	array, r, c := rs.cp.coords(b)
+	var en *pfEntry
+	if bi.pf >= 0 && int(bi.firstDiskWrite) >= i {
+		en = &rs.pf[bi.pf]
+	}
 	if pool := rs.e.Pool; pool != nil {
-		if w, ok := rs.pp.firstDiskWrite[key]; !ok || w >= i {
-			rs.noteConsumed(key)
+		if en != nil {
+			rs.noteConsumed(en)
 		}
 		m, err := pool.Acquire(array, r, c)
 		return m, err == nil, err
 	}
-	if w, ok := rs.pp.firstDiskWrite[key]; ok && w < i {
-		m, err := rs.e.Store.ReadBlock(array, r, c)
-		return m, false, err
-	}
-	rs.cacheMu.Lock()
-	en := rs.cache[key]
 	if en == nil {
-		rs.cacheMu.Unlock()
 		m, err := rs.e.Store.ReadBlock(array, r, c)
 		return m, false, err
 	}
-	claimed := false
-	if !en.issued {
+	rs.pfMu.Lock()
+	claimed := !en.issued
+	if claimed {
 		en.issued = true
-		claimed = true
+		en.done = make(chan struct{})
 		rs.pfInline.Add(1)
 	}
 	en.refs--
 	last := en.refs == 0
-	if last {
-		// Evict so the block is not pinned for the rest of the run; a
-		// latecomer simply misses the cache and reads inline.
-		delete(rs.cache, key)
-	}
-	rs.cacheMu.Unlock()
+	rs.pfMu.Unlock()
 
 	if claimed {
 		en.blk, en.err = rs.e.Store.ReadBlock(array, r, c)
@@ -729,140 +411,170 @@ func (rs *runState) readBlock(i int, array string, r, c int64, key string) (*bla
 	if en.err != nil {
 		return nil, false, en.err
 	}
-	if en.shared {
-		return en.blk.Clone(), false, nil
+	m := en.blk
+	if rs.cp.prefetch[bi.pf].consumers > 1 {
+		m = m.Clone()
 	}
-	return en.blk, false, nil
+	rs.pfMu.Lock()
+	if en.unread--; en.unread == 0 {
+		en.blk = nil // every consumer has its copy; do not keep the block alive
+	}
+	rs.pfMu.Unlock()
+	return m, false, nil
 }
 
 // execEvent runs one statement instance: acquire operands (shared buffer,
-// prefetch cache, or disk), run the kernel, write back, then retain and
-// release held blocks. It mirrors Engine.Run's per-event logic exactly;
-// only the sourcing of blocks differs.
-func (rs *runState) execEvent(i int) error {
-	tl := rs.tl
-	ev := tl.Events[i]
-	set := rs.pp.sets[i]
-	cover := rs.pp.cover[i]
-
-	// Pool pins acquired by this event; pins for blocks whose hold
-	// interval extends past the event transfer to interval ownership
-	// (rs.ivPins), the rest release when the event finishes.
-	evPins := newPinSet(rs.e.Pool)
-	defer evPins.releaseAll()
-
-	local := make(map[string]*blas.Matrix, len(set))
-	var kernelIn []*blas.Matrix
-	var outBlk *blas.Matrix
-	var writeBA *codegen.BlockAccess
-	var accRead *blas.Matrix
-
-	heldBefore := func(key string) bool {
-		iv, ok := cover[key]
-		return ok && i > iv.iv.Start
+// prefetch entry, or disk), run the kernel, write back, then retain and
+// release held blocks.
+func (rs *runState) execEvent(w *worker, i int) error {
+	cp := rs.cp
+	ev := cp.tl.Events[i]
+	w.local, w.in = w.local[:0], w.in[:0]
+	if rs.e.Pool != nil {
+		defer rs.releaseEventPins(w)
 	}
 
-	for bi := range set {
-		ba := &set[bi]
-		if ba.Type == prog.Read {
+	var outBlk, accum *blas.Matrix
+	var write access
+	for _, a := range cp.accs.at(i) {
+		b := a.block()
+		// held is the interval that buffered the block at an earlier event.
+		held := cp.coverOf(i, b)
+		if held >= 0 && i <= int(cp.intervals[held].start) {
+			held = -1
+		}
+		if a.is(accRead) {
 			var m *blas.Matrix
-			switch ba.Action {
-			case codegen.FromMemory:
-				if heldBefore(ba.Key) {
+			switch {
+			case a.is(accFromMemory):
+				if held >= 0 {
 					rs.mu.Lock()
-					m = rs.buf[ba.Key]
+					m = rs.ivBuf[held]
 					rs.mu.Unlock()
 				}
 				if m == nil {
-					if lm, ok := local[ba.Key]; ok {
-						m = lm
-					} else {
-						return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-							ev.St.Name, ev.X, ba.Key)
-					}
+					m = w.lookup(b)
 				}
-			case codegen.DoIO:
-				var err error
+				if m == nil {
+					return rs.blockErr(i, b, "expects %s in memory but it is not buffered")
+				}
+			case a.is(accDoIO):
 				var pinned bool
-				m, pinned, err = rs.readBlock(i, ba.Array, ba.R, ba.C, ba.Key)
-				if err != nil {
+				var err error
+				if m, pinned, err = rs.readBlock(i, b); err != nil {
 					return err
 				}
 				if pinned {
-					evPins.add(ba.Key, ba.Array, ba.R, ba.C)
+					w.pins = append(w.pins, b)
 				}
 			}
-			if _, dup := local[ba.Key]; !dup {
-				local[ba.Key] = m
+			if w.lookup(b) == nil {
+				w.local = append(w.local, localBlock{b, m})
 			}
-			if isAccumulatorRead(ev.St, ba.Acc) {
-				accRead = m
+			if a.is(accAccum) {
+				accum = m
 			} else {
-				kernelIn = append(kernelIn, m)
+				w.in = append(w.in, m)
 			}
 			continue
 		}
 		// Write access: the output block materializes in memory.
-		writeBA = ba
-		if heldBefore(ba.Key) {
+		write = a
+		if held >= 0 {
 			rs.mu.Lock()
-			outBlk = rs.buf[ba.Key]
+			outBlk = rs.ivBuf[held]
 			rs.mu.Unlock()
 			if outBlk == nil {
-				return fmt.Errorf("exec: %s%v writes held block %s but it is not buffered",
-					ev.St.Name, ev.X, ba.Key)
+				return rs.blockErr(i, b, "writes held block %s but it is not buffered")
 			}
 		} else {
-			arr := tl.Prog.Arrays[ba.Array]
+			arr := cp.tl.Prog.Arrays[cp.arrays[cp.blocks[b].array]]
 			outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
 		}
-		local[ba.Key] = outBlk
+		w.setLocal(b, outBlk)
 	}
 
 	t0 := time.Now()
-	if err := RunKernel(ev.St, kernelIn, accRead, outBlk); err != nil {
+	if err := RunKernel(ev.St, w.in, accum, outBlk); err != nil {
 		return fmt.Errorf("exec: %s%v: %w", ev.St.Name, ev.X, err)
 	}
 	kd := time.Since(t0)
 	rs.cpuNanos.Add(int64(kd))
 	rs.addStageTime(ev.St.Name, kd)
 
-	if writeBA != nil && writeBA.Action == codegen.DoIO {
-		pinned, err := rs.e.writeThrough(writeBA.Array, writeBA.R, writeBA.C, outBlk)
+	if write.is(accDoIO) {
+		array, r, c := cp.coords(write.block())
+		pinned, err := rs.e.writeThrough(array, r, c, outBlk)
 		if err != nil {
 			return err
 		}
 		if pinned {
-			evPins.add(writeBA.Key, writeBA.Array, writeBA.R, writeBA.C)
+			w.pins = append(w.pins, write.block())
 		}
 	}
 
 	// Retain blocks whose hold interval extends past this event; release
-	// interval references and evict fully consumed blocks. Pool pins for
+	// interval references and drop fully consumed blocks. Pool pins for
 	// retained blocks move to interval ownership and are released when the
 	// interval's last accessor completes.
+	cover := cp.cover.at(i)
 	rs.mu.Lock()
-	for key, m := range local {
-		if iv, ok := cover[key]; ok && i < iv.iv.End {
-			rs.buf[key] = m
-			evPins.transfer(key, rs.ivPins)
+	for _, iv := range cover {
+		if b := cp.intervals[iv].block; i < int(cp.intervals[iv].end) {
+			rs.ivBuf[iv] = w.lookup(b)
+			if rs.ivPins != nil {
+				rs.ivPins[iv] += w.takePins(b)
+			}
 		}
 	}
-	for _, st := range rs.pp.release[i] {
-		if st.refs--; st.refs == 0 {
-			delete(rs.buf, st.iv.Key)
-			rs.ivPins.drop(st.iv.Key, 0)
+	for _, iv := range cover {
+		if rs.ivRefs[iv]--; rs.ivRefs[iv] == 0 {
+			rs.ivBuf[iv] = nil
+			if rs.ivPins != nil && rs.ivPins[iv] > 0 {
+				rs.unpin(cp.intervals[iv].block, int(rs.ivPins[iv]))
+				rs.ivPins[iv] = 0
+			}
 		}
 	}
 	rs.mu.Unlock()
 
-	// Announce blocks whose final physical write was this event. The WAW
-	// and dataflow edges ordered every earlier write before it, so the
+	// Announce the block whose final physical write was this event. The
+	// WAW and dataflow edges ordered every earlier write before it, so the
 	// value observed through Pool/Store from here on is final.
-	if rs.finalize != nil {
-		for _, br := range rs.finalize[i] {
-			rs.e.OnBlockWritten(br.array, br.r, br.c)
-		}
+	if cb := rs.e.OnBlockWritten; cb != nil && write.is(accFinal) {
+		cb(cp.coords(write.block()))
 	}
 	return nil
+}
+
+// setLocal records (or replaces) the event's block b.
+func (w *worker) setLocal(b int32, m *blas.Matrix) {
+	for k := range w.local {
+		if w.local[k].block == b {
+			w.local[k].m = m
+			return
+		}
+	}
+	w.local = append(w.local, localBlock{b, m})
+}
+
+// takePins removes and counts the event's pins on block b.
+func (w *worker) takePins(b int32) int32 {
+	n := int32(0)
+	kept := w.pins[:0]
+	for _, p := range w.pins {
+		if p == b {
+			n++
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	w.pins = kept
+	return n
+}
+
+// blockErr formats an invariant violation at event i naming block b.
+func (rs *runState) blockErr(i int, b int32, format string) error {
+	ev := rs.cp.tl.Events[i]
+	return fmt.Errorf("exec: %s%v "+format, ev.St.Name, ev.X, rs.cp.blockKey(b))
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"riotshare/internal/blockd"
 	"riotshare/internal/buffer"
 	"riotshare/internal/core"
+	"riotshare/internal/cost"
 	"riotshare/internal/disk"
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
@@ -57,13 +59,15 @@ func outputArrays(p *prog.Program) []string {
 }
 
 // runConfig varies one execution of a plan in the property tests: the
-// on-disk format, the engine parallelism, the shard count of the block
+// on-disk format, the engine parallelism (or the sequential reference
+// interpreter instead of the engine), the shard count of the block
 // store (0/1 = the single-directory manager) with its replication factor,
 // and whether block I/O goes through a sharing-aware buffer pool (with
 // which eviction policy and capacity — a small poolCap forces eviction and
 // dirty write-back churn mid-plan).
 type runConfig struct {
 	format     storage.Format
+	reference  bool
 	workers    int
 	prefetch   int
 	memCap     int64
@@ -103,6 +107,13 @@ func runPlan(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, cfg runConfi
 func runPlanOn(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, m storage.Backend, cfg runConfig) (Result, map[string]*blas.Matrix) {
 	t.Helper()
 	var err error
+	var r Result
+	if cfg.reference {
+		if r, err = referenceRun(m, disk.PaperModel(), pl.Timeline); err != nil {
+			t.Fatalf("plan %s %+v: %v", pl.Label, cfg, err)
+		}
+		return r, readOutputs(t, p, m)
+	}
 	eng := &Engine{Store: m, Model: disk.PaperModel(), MemCapBytes: cfg.memCap}
 	var pool *buffer.Pool
 	if cfg.pool {
@@ -115,7 +126,7 @@ func runPlanOn(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, m storage.
 		}
 		eng.Pool = pool
 	}
-	r, err := eng.RunOptions(pl.Timeline, Options{Workers: cfg.workers, PrefetchDepth: cfg.prefetch})
+	r, err = eng.RunOptions(pl.Timeline, Options{Workers: cfg.workers, PrefetchDepth: cfg.prefetch})
 	if err != nil {
 		t.Fatalf("plan %s %+v: %v", pl.Label, cfg, err)
 	}
@@ -127,11 +138,17 @@ func runPlanOn(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, m storage.
 			t.Fatalf("plan %s %+v: flush: %v", pl.Label, cfg, err)
 		}
 	}
+	return r, readOutputs(t, p, m)
+}
+
+// readOutputs reads every persistent output array of p back from m.
+func readOutputs(t *testing.T, p *prog.Program, m storage.Backend) map[string]*blas.Matrix {
+	t.Helper()
 	outs := map[string]*blas.Matrix{}
 	for _, name := range outputArrays(p) {
 		outs[name] = readFull(t, p, m, name)
 	}
-	return r, outs
+	return outs
 }
 
 // comparable strips the fields that legitimately vary between runs
@@ -145,9 +162,9 @@ func comparable(r Result) Result {
 	return r
 }
 
-// assertIdentical checks the parallel engine's central invariant: logical
-// I/O accounting and numerics are byte-for-byte identical to sequential
-// execution, for any worker count.
+// assertIdentical checks the engine's central invariant: logical I/O
+// accounting and numerics are byte-for-byte identical to the sequential
+// reference interpreter, for any worker count.
 func assertIdentical(t *testing.T, label string, workers int, seq, par Result, seqOut, parOut map[string]*blas.Matrix) {
 	t.Helper()
 	if !reflect.DeepEqual(comparable(seq), comparable(par)) {
@@ -188,12 +205,14 @@ func planSample(res *core.Result, n int) []*core.EvaluatedPlan {
 	return out
 }
 
-// TestParallelMatchesSequential is the property test for the pipelined
-// engine: across the example programs, a sample of their plans, and both
-// on-disk formats (DAF and LAB-tree), a Workers=4 run — with or without a
-// sharing-aware buffer pool — must produce the same Result (ReadBytes/
-// WriteBytes/ReadReqs/WriteReqs/PeakMemoryBytes/SimulatedIOSec) and
-// bit-identical output matrices as Workers=1.
+// TestParallelMatchesSequential is the property test for the engine:
+// across the example programs, a sample of their plans, and both on-disk
+// formats (DAF and LAB-tree), every run — any worker count, sharded,
+// replicated, remote, with or without a sharing-aware buffer pool — must
+// produce the same Result (ReadBytes/WriteBytes/ReadReqs/WriteReqs/
+// PeakMemoryBytes/SimulatedIOSec) and bit-identical output matrices as the
+// sequential reference interpreter, whose measured accounting in turn
+// equals the cost model's prediction.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -232,8 +251,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, pl := range planSample(res, tc.maxPlans) {
-					seq, seqOut := runPlan(t, tc.prog, pl, runConfig{format: format, workers: 1})
-					for _, workers := range []int{2, 4} {
+					seq, seqOut := runPlan(t, tc.prog, pl, runConfig{format: format, reference: true})
+					assertPredicted(t, pl, seq)
+					for _, workers := range []int{1, 2, 4} {
 						par, parOut := runPlan(t, tc.prog, pl, runConfig{format: format, workers: workers})
 						assertIdentical(t, pl.Label, workers, seq, par, seqOut, parOut)
 					}
@@ -331,7 +351,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 						}
 						sm.Close()
 					}
-					// Pooled runs (sequential and parallel, each eviction
+					// Pooled runs (one worker and four, each eviction
 					// policy, unlimited and eviction-forcing capacities)
 					// must be indistinguishable in Result and numerics
 					// too.
@@ -429,38 +449,95 @@ func TestParallelFromMemoryInvariant(t *testing.T) {
 	}
 }
 
-// The dry-run accounting must agree with what the sequential interpreter
-// physically measures, plan by plan — it is the bridge that keeps parallel
-// Results equal to sequential ones.
-func TestAccountRunMatchesSequential(t *testing.T) {
-	p := addMulProgram(3, 4, 2)
-	res, err := core.Optimize(p, core.Options{BindParams: true})
+// assertPredicted checks a measured Result against the cost model's
+// prediction for the plan.
+func assertPredicted(t *testing.T, pl *core.EvaluatedPlan, r Result) {
+	t.Helper()
+	c := cost.Evaluate(pl.Timeline, disk.PaperModel())
+	got := [5]int64{r.ReadBytes, r.WriteBytes, r.ReadReqs, r.WriteReqs, r.PeakMemoryBytes}
+	want := [5]int64{c.ReadBytes, c.WriteBytes, c.ReadReqs, c.WriteReqs, c.PeakMemoryBytes}
+	if got != want {
+		t.Errorf("plan %s: measured (read B, write B, read reqs, write reqs, peak) = %v, cost model predicts %v",
+			pl.Label, got, want)
+	}
+}
+
+// The engine reports the cost model's accounting, so the sequential
+// reference interpreter — which measures I/O and memory as it runs — must
+// agree with cost.Evaluate plan by plan: every plan of the small add+mul
+// search, and the greedy plans of the paper's configurations.
+func TestReferenceMatchesCostModel(t *testing.T) {
+	small := addMulProgram(3, 4, 2)
+	res, err := core.Optimize(small, core.Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range res.Plans {
+	type planOf struct {
+		p  *prog.Program
+		pl *core.EvaluatedPlan
+	}
+	var plans []planOf
+	for i := range res.Plans {
+		plans = append(plans, planOf{small, &res.Plans[i]})
+	}
+	for _, p := range paperPrograms() {
+		g, err := core.OptimizeGreedy(context.Background(), p, core.Options{BindParams: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.Plans {
+			plans = append(plans, planOf{p, &g.Plans[i]})
+		}
+	}
+	for _, po := range plans {
 		m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CreateAll(p); err != nil {
+		if err := m.CreateAll(po.p); err != nil {
 			t.Fatal(err)
 		}
-		fillInputs(t, p, m, 42)
-		eng := &Engine{Store: m, Model: disk.PaperModel()}
-		measured, err := eng.Run(pl.Timeline)
+		fillInputs(t, po.p, m, 42)
+		measured, err := referenceRun(m, disk.PaperModel(), po.pl.Timeline)
 		if err != nil {
-			t.Fatalf("plan %s: %v", pl.Label, err)
+			t.Fatalf("plan %s: %v", po.pl.Label, err)
 		}
-		accounted, err := accountRun(pl.Timeline, 0)
-		if err != nil {
-			t.Fatalf("plan %s: accountRun: %v", pl.Label, err)
-		}
-		accounted.SimulatedIOSec = eng.Model.Time(accounted.ReadBytes, accounted.WriteBytes, accounted.ReadReqs, accounted.WriteReqs)
-		if !reflect.DeepEqual(comparable(measured), comparable(accounted)) {
-			t.Errorf("plan %s: accounting diverged\nmeasured:  %+v\naccounted: %+v",
-				pl.Label, comparable(measured), comparable(accounted))
-		}
+		assertPredicted(t, po.pl, measured)
 		m.Close()
 	}
+}
+
+// paperPrograms are the paper's §6 configurations (the same shapes
+// internal/bench builds).
+func paperPrograms() []*prog.Program {
+	return []*prog.Program{
+		ops.AddMul(ops.AddMulConfig{
+			N1: 12, N2: 12, N3: 1,
+			ABBlock: ops.Dims{Rows: 6, Cols: 4}, DBlock: ops.Dims{Rows: 4, Cols: 5},
+			LogicalAB: ops.Dims{Rows: 6000, Cols: 4000}, LogicalD: ops.Dims{Rows: 4000, Cols: 5000},
+		}),
+		twoMMPaperA(),
+		ops.TwoMM(ops.TwoMMConfig{
+			N1: 18, N2: 4, N3: 6, N4: 4,
+			ABlock: ops.Dims{Rows: 2, Cols: 8}, BBlock: ops.Dims{Rows: 8, Cols: 6},
+			DBlock:   ops.Dims{Rows: 8, Cols: 7},
+			LogicalA: ops.Dims{Rows: 2000, Cols: 8000}, LogicalB: ops.Dims{Rows: 8000, Cols: 6000},
+			LogicalD: ops.Dims{Rows: 8000, Cols: 7000},
+		}),
+		ops.LinReg(ops.LinRegConfig{
+			N: 25, XBlock: ops.Dims{Rows: 60, Cols: 40}, YBlock: ops.Dims{Rows: 60, Cols: 4},
+			LogicalX: ops.Dims{Rows: 60000, Cols: 4000}, LogicalY: ops.Dims{Rows: 60000, Cols: 400},
+		}),
+	}
+}
+
+// twoMMPaperA is the paper's §6.2 configuration A.
+func twoMMPaperA() *prog.Program {
+	return ops.TwoMM(ops.TwoMMConfig{
+		N1: 6, N2: 10, N3: 6, N4: 10,
+		ABlock: ops.Dims{Rows: 8, Cols: 7}, BBlock: ops.Dims{Rows: 7, Cols: 3},
+		DBlock:   ops.Dims{Rows: 7, Cols: 3},
+		LogicalA: ops.Dims{Rows: 8000, Cols: 7000}, LogicalB: ops.Dims{Rows: 7000, Cols: 3000},
+		LogicalD: ops.Dims{Rows: 7000, Cols: 3000},
+	})
 }

@@ -14,7 +14,8 @@ import (
 // Handler returns the service's HTTP/JSON API:
 //
 //	POST /submit          {"program":"addmul","memCapMB":1000,...} or {"spec":{...}}
-//	                      → 202 {"id":"q1","state":"queued"}
+//	                      → 202 {"id":"q1","state":"queued"}; a body over
+//	                        maxSubmitBytes (1 MiB) → 413
 //	GET  /status?id=q1    → QueryStatus
 //	GET  /results?id=q1   → final QueryStatus; blocks until done with ?wait=1
 //	                        (the wait honors request-context cancellation),
@@ -97,14 +98,27 @@ func writeErr(w http.ResponseWriter, r *http.Request, code int, err error) {
 	writeJSON(w, r, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBytes bounds a /submit body. A request or spec is a few
+// kilobytes; anything near this size is not one.
+const maxSubmitBytes = 1 << 20
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or trickling connections cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, r, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, r, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	id, err := s.Submit(req)
@@ -220,7 +234,7 @@ func ListenAndServe(ctx context.Context, addr string, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"riotshare/internal/prog"
@@ -26,6 +27,24 @@ func newHTTPServer(t *testing.T) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// An oversized /submit body is refused with 413 before it is decoded in
+// full, and creates no query.
+func TestHTTPSubmitBodyBounded(t *testing.T) {
+	s, ts := newHTTPServer(t)
+	body := `{"program":"addmul-small","tenant":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/submit", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit status = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if qs := s.List(); len(qs) != 0 {
+		t.Errorf("oversized submit created %d queries, want 0", len(qs))
+	}
 }
 
 func TestHTTPSubmitStatusResultsStats(t *testing.T) {

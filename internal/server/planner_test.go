@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"riotshare/internal/core"
+	"riotshare/internal/exec"
 	"riotshare/internal/prog"
 )
 
@@ -160,25 +162,49 @@ func TestGreedyTierPlanning(t *testing.T) {
 // A cache entry holds the plan table and nothing else of the planner's
 // output: the dependence analysis and the searcher's memo tables are
 // dropped on both the greedy and the full tier, so resident entries do not
-// pin planning scratch.
+// pin planning scratch. What it gains is the served plan compiled for
+// execution: compiled on the first query, reused by the next, and
+// released with the entry when the LRU evicts it.
 func TestPlanCacheRetainsOnlyPlanTable(t *testing.T) {
 	for _, budget := range []time.Duration{10 * time.Second, 0} {
 		s, err := New(Config{
-			Dir:        t.TempDir(),
-			Seed:       testSeed,
-			Programs:   map[string]func() *prog.Program{"addmul-small": smallAddMul},
-			PlanBudget: budget,
+			Dir:  t.TempDir(),
+			Seed: testSeed,
+			Programs: map[string]func() *prog.Program{
+				"addmul-small": smallAddMul,
+				"addmul-other": smallAddMul,
+			},
+			PlanBudget:       budget,
+			PlanCacheEntries: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := s.Submit(Request{Program: "addmul-small"})
-		if err != nil {
-			t.Fatal(err)
+		run := func(name string) {
+			t.Helper()
+			id, err := s.Submit(Request{Program: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := s.Wait(id); err != nil || st.State != StateDone {
+				t.Fatalf("budget %v: state %v, err %v (%s)", budget, st.State, err, st.Err)
+			}
 		}
-		if st, err := s.Wait(id); err != nil || st.State != StateDone {
-			t.Fatalf("budget %v: state %v, err %v (%s)", budget, st.State, err, st.Err)
+		compiled := func() (*exec.Plan, int) {
+			t.Helper()
+			s.planMu.Lock()
+			defer s.planMu.Unlock()
+			var cp *exec.Plan
+			n := 0
+			for _, c := range s.planCache["prog:addmul-small"].compiled {
+				if c != nil {
+					cp, n = c, n+1
+				}
+			}
+			return cp, n
 		}
+
+		run("addmul-small")
 		s.planMu.Lock()
 		e := s.planCache["prog:addmul-small"]
 		res, tier := e.res, e.tier
@@ -188,6 +214,38 @@ func TestPlanCacheRetainsOnlyPlanTable(t *testing.T) {
 		}
 		if res.Analysis != nil || res.Searcher != nil {
 			t.Errorf("budget %v (tier %s): cached entry retains Analysis=%v Searcher=%v", budget, tier, res.Analysis != nil, res.Searcher != nil)
+		}
+		first, n := compiled()
+		if n != 1 {
+			t.Fatalf("budget %v: %d compiled plans after one query, want 1", budget, n)
+		}
+		run("addmul-small")
+		if again, n := compiled(); again != first || n != 1 {
+			t.Errorf("budget %v: second query compiled again (%p -> %p, %d compiled)", budget, first, again, n)
+		}
+
+		// Evicting the entry must release its compiled plan.
+		freed := make(chan struct{})
+		runtime.SetFinalizer(first, func(*exec.Plan) { close(freed) })
+		first, e, res = nil, nil, nil
+		run("addmul-other")
+		s.planMu.Lock()
+		_, resident := s.planCache["prog:addmul-small"]
+		s.planMu.Unlock()
+		if resident {
+			t.Fatalf("budget %v: entry not evicted by a one-entry cache", budget)
+		}
+		released := false
+		for k := 0; k < 20 && !released; k++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				released = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !released {
+			t.Errorf("budget %v: evicted entry's compiled plan is still reachable", budget)
 		}
 		s.Close()
 	}
@@ -240,6 +298,12 @@ func TestImproverHotSwapDeterministic(t *testing.T) {
 		return st
 	}
 	st1 := run()
+	s.planMu.Lock()
+	before := e.compiled[st1.PlanIndex]
+	s.planMu.Unlock()
+	if before == nil || before.Timeline() != base.Plans[st1.PlanIndex].Timeline {
+		t.Fatal("first query's plan was not compiled from the cached table")
+	}
 
 	s.improveOne(context.Background(), improveJob{key: key, prog: smallAddMul()})
 	if got := s.impSwaps.Load(); got != 1 {
@@ -273,6 +337,12 @@ func TestImproverHotSwapDeterministic(t *testing.T) {
 	st2 := run()
 	if st2.PlanLabel == st1.PlanLabel {
 		t.Errorf("second query still ran plan %q; expected the swapped-in plan", st2.PlanLabel)
+	}
+	s.planMu.Lock()
+	after := e.compiled[st2.PlanIndex]
+	s.planMu.Unlock()
+	if after == nil || after.Timeline() != swapped.Plans[st2.PlanIndex].Timeline {
+		t.Error("second query did not run a plan compiled from the swapped-in table")
 	}
 
 	// Bit-identical results before and after the swap.

@@ -112,9 +112,9 @@ type Config struct {
 	// governor prefers, within a tenant, the admissible query whose input
 	// arrays are already pool-resident).
 	NoAffinity bool
-	// Workers/PrefetchDepth default each query to the pipelined engine
-	// configuration (Workers <= 1 = sequential interpreter); a Request may
-	// override them.
+	// Workers/PrefetchDepth default each query's execution: the number
+	// of concurrent kernel workers (<= 1 runs one) and the prefetch
+	// window; a Request may override them.
 	Workers       int
 	PrefetchDepth int
 	// Seed drives the deterministic synthetic fill of shared input arrays.
@@ -447,6 +447,9 @@ type planEntry struct {
 	// hot-swapped by the improver afterwards — read them under planMu.
 	res *core.Result
 	err error
+	// compiled[i] is res.Plans[i] compiled for execution, filled on the
+	// plan's first run and reset with every hot swap (guarded by planMu).
+	compiled []*exec.Plan
 	// key/elem tie the entry into the LRU list; tier records which
 	// planner produced res; improved marks that the improver already
 	// re-planned this entry (successfully or not).
@@ -951,29 +954,59 @@ func (s *Server) improveOne(ctx context.Context, job improveJob) {
 		return // evicted or failed meanwhile; nothing to upgrade
 	}
 	if full.Plans[0].Cost.LogicalIOBytes() < e.res.Plans[0].Cost.LogicalIOBytes() {
-		e.res = full
+		e.res, e.compiled = full, nil
 		e.tier = tierFull
 		s.impSwaps.Add(1)
 	}
 }
 
 // selectPlan picks the forced plan index or the cheapest plan whose peak
-// memory fits the per-query cap.
-func selectPlan(res *core.Result, req Request) (*core.EvaluatedPlan, error) {
+// memory fits the per-query cap, returning its index in res.Plans.
+func selectPlan(res *core.Result, req Request) (int, error) {
 	if req.Plan != nil {
 		i := *req.Plan
 		if i < 0 || i >= len(res.Plans) {
-			return nil, fmt.Errorf("server: plan %d out of range (%d plans)", i, len(res.Plans))
+			return 0, fmt.Errorf("server: plan %d out of range (%d plans)", i, len(res.Plans))
 		}
-		return &res.Plans[i], nil
+		return i, nil
 	}
 	cap := req.MemCapMB << 20
 	for i := range res.Plans {
 		if cap == 0 || res.Plans[i].Cost.PeakMemoryBytes <= cap {
-			return &res.Plans[i], nil
+			return i, nil
 		}
 	}
-	return nil, fmt.Errorf("server: no plan fits the %dMB memory cap", req.MemCapMB)
+	return 0, fmt.Errorf("server: no plan fits the %dMB memory cap", req.MemCapMB)
+}
+
+// compiledPlan returns res.Plans[i] compiled for execution. The first run
+// of a plan compiles it and keeps the result on the plan-cache entry under
+// key, as long as that entry still serves res: an evicted entry drops its
+// compiled plans with it, and a hot swap starts the new table uncompiled.
+func (s *Server) compiledPlan(key string, res *core.Result, i int) (*exec.Plan, error) {
+	s.planMu.Lock()
+	if e, ok := s.planCache[key]; ok && e.res == res && e.compiled != nil && e.compiled[i] != nil {
+		cp := e.compiled[i]
+		s.planMu.Unlock()
+		return cp, nil
+	}
+	s.planMu.Unlock()
+	cp, err := exec.Compile(res.Plans[i].Timeline)
+	if err != nil {
+		return nil, err
+	}
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	if e, ok := s.planCache[key]; ok && e.res == res {
+		if e.compiled == nil {
+			e.compiled = make([]*exec.Plan, len(res.Plans))
+		}
+		if e.compiled[i] == nil {
+			e.compiled[i] = cp
+		}
+		return e.compiled[i], nil
+	}
+	return cp, nil
 }
 
 // run drives one query through optimize → admit → execute → publish, then
@@ -1065,10 +1098,11 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	if err != nil {
 		return err
 	}
-	pl, err := selectPlan(res, q.req)
+	planIdx, err := selectPlan(res, q.req)
 	if err != nil {
 		return err
 	}
+	pl := &res.Plans[planIdx]
 	sp.Annotate("plan", pl.Label)
 	s.mu.Lock()
 	q.status.PlanIndex = pl.Index
@@ -1124,7 +1158,11 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		OnBlockWritten: q.stream.noteBlock,
 	}
 	sp = root.Child("exec")
-	r, err := eng.RunOptions(pl.Timeline, exec.Options{Workers: workers, PrefetchDepth: prefetch})
+	var r exec.Result
+	cp, err := s.compiledPlan(q.planKey, res, planIdx)
+	if err == nil {
+		r, err = eng.Exec(cp, exec.Options{Workers: workers, PrefetchDepth: prefetch})
+	}
 	sp.End()
 	s.recordExec(sp, r)
 	if err != nil {

@@ -276,12 +276,11 @@ func NewStorage(dir string, format StorageFormat) (*Storage, error) {
 // ExecResult reports a physical plan execution.
 type ExecResult = exec.Result
 
-// ExecOptions configures the pipelined parallel engine: Workers is the
-// number of concurrent kernel workers (<= 1 runs the sequential
-// interpreter) and PrefetchDepth bounds the I/O prefetch window (<= 0
-// picks a default; a memory cap shrinks it to the cap's headroom above the
-// plan's peak). Logical I/O accounting and numerics are identical for
-// every worker count.
+// ExecOptions configures execution: Workers is the number of concurrent
+// kernel workers (<= 1 runs one) and PrefetchDepth bounds the I/O
+// prefetch window (<= 0 picks a default; a memory cap shrinks it to the
+// cap's headroom above the plan's peak). Logical I/O accounting and
+// numerics are identical for every worker count.
 type ExecOptions = exec.Options
 
 // Execute runs an evaluated plan against storage with the given disk model

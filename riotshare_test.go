@@ -210,8 +210,12 @@ func TestPublicAPISharedBufferPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Kernel times and prefetch counts depend on timing and scheduling;
+	// everything else must match.
 	r1.CPUTime, r2.CPUTime = 0, 0
 	r1.StageTimes, r2.StageTimes = nil, nil
+	r1.PrefetchIssued, r2.PrefetchIssued = 0, 0
+	r1.PrefetchInline, r2.PrefetchInline = 0, 0
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("pooled reruns diverged: %+v vs %+v", r1, r2)
 	}
